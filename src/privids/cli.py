@@ -15,6 +15,7 @@ import json
 import statistics
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,7 @@ from .dataset import (
     stratified_split,
 )
 from .distortion import distort
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DataValidationError,
-    SingularMatrixError,
-    UndefinedCorrelationError,
-)
+from .errors import ConfigError, DataFormatError, DataValidationError, PipelineError
 from .feature_selection import apply_selection, correlation_matrix, select_by_threshold
 from .privacy_metrics import privacy_report
 
@@ -86,9 +81,14 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 def _verify_sha256(path: str, expected: str):
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from None
     actual = digest.hexdigest()
     if actual != expected.lower():
         raise DataValidationError(
@@ -96,31 +96,54 @@ def _verify_sha256(path: str, expected: str):
         )
 
 
-def _ingest(config: PipelineConfig):
-    if config.sha256:
-        _verify_sha256(config.dataset_path, config.sha256)
-    table = load_csv(config.dataset_path)
-    X, y, encoding = prepare(
-        table,
-        drop_columns=config.drop_columns,
-        label_column=config.label_column,
-        category_column=config.category_column,
-        min_max_scale=config.min_max_scale,
-    )
-    if config.sample_rows is not None:
-        X, y = stratified_sample(X, y, config.sample_rows, config.sample_seed)
-    return X, y, encoding
+class Stages:
+    """What the stages of one run compute, each on first use and then kept,
+    so commands that share this object ingest, select and distort once."""
 
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self._distorted = {}
 
-def _median_distort(X, y, repeats: int):
-    """Distortion with the wall time taken as the median of repeated runs;
-    the fitted model and matrix are identical across runs."""
-    times = []
-    distorted = model = None
-    for _ in range(repeats):
-        distorted, model, elapsed = distort(X, y)
-        times.append(elapsed)
-    return distorted, model, statistics.median(times)
+    @cached_property
+    def ingested(self) -> tuple[FeatureMatrix, LabelVector]:
+        """(X, y) after the sha256 check and the optional stratified sample."""
+        config = self.config
+        if config.sha256:
+            _verify_sha256(config.dataset_path, config.sha256)
+        X, y, _ = prepare(
+            load_csv(config.dataset_path),
+            drop_columns=config.drop_columns,
+            label_column=config.label_column,
+            category_column=config.category_column,
+            min_max_scale=config.min_max_scale,
+        )
+        if config.sample_rows is not None:
+            X, y = stratified_sample(X, y, config.sample_rows, config.sample_seed)
+        return X, y
+
+    @cached_property
+    def selection(self):
+        """(correlation matrix, selection report) of the ingested matrix."""
+        C = correlation_matrix(self.ingested[0])
+        return C, select_by_threshold(C, self.config.pcc_threshold)
+
+    @cached_property
+    def selected(self) -> FeatureMatrix:
+        return apply_selection(self.ingested[0], self.selection[1])
+
+    def distorted(self, tag: str):
+        """(matrix, model, median wall time) of the distorted configuration;
+        the fitted model and matrix are identical across the timing repeats."""
+        if tag not in self._distorted:
+            X, y = self.ingested
+            if tag == "pcc_lsm":
+                X = self.selected
+            times = []
+            for _ in range(self.config.timing_repeats):
+                matrix, model, elapsed = distort(X, y)
+                times.append(elapsed)
+            self._distorted[tag] = (matrix, model, statistics.median(times))
+        return self._distorted[tag]
 
 
 def _selection_payload(report) -> dict:
@@ -195,12 +218,10 @@ def _matrix_rows(matrix: FeatureMatrix):
         yield [float(v) for v in row]
 
 
-def cmd_select(config: PipelineConfig) -> list[Path]:
+def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the correlation matrix, the selection report, and the ranking."""
     out = Path(config.output_dir)
-    X, _, _ = _ingest(config)
-    C = correlation_matrix(X)
-    report = select_by_threshold(C, config.pcc_threshold)
+    C, report = (stages or Stages(config)).selection
 
     written = [
         _write_csv(
@@ -221,7 +242,7 @@ def cmd_select(config: PipelineConfig) -> list[Path]:
     return written
 
 
-def cmd_distort(config: PipelineConfig) -> list[Path]:
+def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the distorted matrix, model, and timing for every distorted
     configuration that was requested."""
     tags = [t for t in config.configurations if t in DISTORTED_TAGS]
@@ -230,15 +251,10 @@ def cmd_distort(config: PipelineConfig) -> list[Path]:
             f"distort needs one of {DISTORTED_TAGS} in 'configurations', got {config.configurations}"
         )
     out = Path(config.output_dir)
-    X, y, _ = _ingest(config)
-    X_by_tag = {"lsm_only": X}
-    if "pcc_lsm" in tags:
-        report = select_by_threshold(correlation_matrix(X), config.pcc_threshold)
-        X_by_tag["pcc_lsm"] = apply_selection(X, report)
-
+    stages = stages or Stages(config)
     written = []
     for tag in tags:
-        distorted, model, elapsed = _median_distort(X_by_tag[tag], y, config.timing_repeats)
+        distorted, model, elapsed = stages.distorted(tag)
         written.append(
             _write_csv(
                 out / f"distorted_{tag}.csv",
@@ -258,29 +274,20 @@ def cmd_distort(config: PipelineConfig) -> list[Path]:
     return written
 
 
-def _configuration_matrices(config: PipelineConfig, X: FeatureMatrix, y: LabelVector):
+def _configuration_matrices(config: PipelineConfig, stages: Stages):
     """Feature matrix and optional privacy report per requested configuration."""
-    needs_selection = any(t in config.configurations for t in ("pcc_only", "pcc_lsm"))
-    X_selected = None
-    if needs_selection:
-        report = select_by_threshold(correlation_matrix(X), config.pcc_threshold)
-        X_selected = apply_selection(X, report)
-
     matrices = {}
     privacy = {}
     for tag in config.configurations:
         if tag == "baseline":
-            matrices[tag] = X
+            matrices[tag] = stages.ingested[0]
         elif tag == "pcc_only":
-            matrices[tag] = X_selected
-        elif tag == "lsm_only":
-            distorted, _, elapsed = _median_distort(X, y, config.timing_repeats)
+            matrices[tag] = stages.selected
+        else:
+            original = stages.selected if tag == "pcc_lsm" else stages.ingested[0]
+            distorted, _, elapsed = stages.distorted(tag)
             matrices[tag] = distorted
-            privacy[tag] = privacy_report(X.values, distorted.values, elapsed)
-        elif tag == "pcc_lsm":
-            distorted, _, elapsed = _median_distort(X_selected, y, config.timing_repeats)
-            matrices[tag] = distorted
-            privacy[tag] = privacy_report(X_selected.values, distorted.values, elapsed)
+            privacy[tag] = privacy_report(original.values, distorted.values, elapsed)
     return matrices, privacy
 
 
@@ -302,14 +309,14 @@ def _run_evaluations(config: PipelineConfig, matrices, y: LabelVector):
     return reports
 
 
-def cmd_evaluate(config: PipelineConfig) -> list[Path]:
+def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Evaluate every requested configuration; write per-configuration
     evaluation reports, privacy reports for distorted configurations, a
     utility comparison against the baseline, and combined CSV summaries."""
     out = Path(config.output_dir)
-    X, y, _ = _ingest(config)
-    matrices, privacy = _configuration_matrices(config, X, y)
-    reports = _run_evaluations(config, matrices, y)
+    stages = stages or Stages(config)
+    matrices, privacy = _configuration_matrices(config, stages)
+    reports = _run_evaluations(config, matrices, stages.ingested[1])
 
     written = []
     for tag in config.configurations:
@@ -400,7 +407,9 @@ def cmd_evaluate(config: PipelineConfig) -> list[Path]:
 
 def cmd_pipeline(config: PipelineConfig) -> list[Path]:
     """Select, distort, and evaluate in one run, with a manifest that echoes
-    the effective config. An interrupted run leaves status 'incomplete'."""
+    the effective config. The stages share one Stages object, so the CSV is
+    read once, within the select stage's time. An interrupted run leaves
+    status 'incomplete'."""
     out = Path(config.output_dir)
     manifest_path = out / "manifest.json"
     manifest = {
@@ -416,6 +425,7 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
     _write_json(manifest_path, manifest)
 
     written = [manifest_path]
+    stages = Stages(config)
     try:
         for stage_name, stage in (
             ("select", cmd_select),
@@ -423,7 +433,7 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
             ("evaluate", cmd_evaluate),
         ):
             start = time.perf_counter()
-            written.extend(stage(config))
+            written.extend(stage(config, stages))
             manifest["stage_times_s"][stage_name] = time.perf_counter() - start
     except BaseException as exc:
         manifest["status"] = "incomplete"
@@ -480,18 +490,12 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         written = COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, DataValidationError) as exc:
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularMatrixError, UndefinedCorrelationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     for path in written:
         print(path)
     return 0

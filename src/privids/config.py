@@ -110,6 +110,16 @@ def _take(section: dict, allowed: set[str], where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _scalar(section: dict, key: str, convert, default, where: str):
+    """section[key] (or the default) through int or float; a failed
+    conversion is a ConfigError naming the key path."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}{key} must be {convert.__name__}, got {value!r}") from None
+
+
 def _parse_classifiers(raw) -> list[ClassifierSpec]:
     if raw is None:
         return []
@@ -127,7 +137,7 @@ def _parse_classifiers(raw) -> list[ClassifierSpec]:
                 hyperparameters=_require_mapping(
                     entry.get("hyperparameters"), f"classifiers[{i}].hyperparameters"
                 ),
-                seed=int(entry.get("seed", DEFAULT_SEED)),
+                seed=_scalar(entry, "seed", int, DEFAULT_SEED, f"classifiers[{i}]."),
             )
         )
     return specs
@@ -169,21 +179,26 @@ def load_config(path) -> PipelineConfig:
     _take(split, {"test_fraction", "seed"}, "split")
     sample = _require_mapping(raw.get("sample"), "sample")
     _take(sample, {"rows", "seed"}, "sample")
+    drop_columns = dataset.get("drop_columns", DEFAULT_DROP_COLUMNS)
+    if not isinstance(drop_columns, list):
+        raise ConfigError(f"dataset.drop_columns must be a list, got {drop_columns!r}")
 
     return PipelineConfig(
         dataset_path=str(dataset["path"]),
         output_dir=str(raw.get("output_dir", "runs/out")),
-        drop_columns=list(dataset.get("drop_columns", DEFAULT_DROP_COLUMNS)),
+        drop_columns=list(drop_columns),
         label_column=str(dataset.get("label_column", DEFAULT_LABEL_COLUMN)),
         category_column=dataset.get("category_column", DEFAULT_CATEGORY_COLUMN),
         sha256=dataset.get("sha256"),
         min_max_scale=bool(dataset.get("min_max_scale", False)),
-        pcc_threshold=float(selection.get("pcc_threshold", DEFAULT_PCC_THRESHOLD)),
-        test_fraction=float(split.get("test_fraction", DEFAULT_TEST_FRACTION)),
-        split_seed=int(split.get("seed", DEFAULT_SEED)),
+        pcc_threshold=_scalar(
+            selection, "pcc_threshold", float, DEFAULT_PCC_THRESHOLD, "selection."
+        ),
+        test_fraction=_scalar(split, "test_fraction", float, DEFAULT_TEST_FRACTION, "split."),
+        split_seed=_scalar(split, "seed", int, DEFAULT_SEED, "split."),
         sample_rows=sample.get("rows"),
-        sample_seed=int(sample.get("seed", DEFAULT_SEED)),
+        sample_seed=_scalar(sample, "seed", int, DEFAULT_SEED, "sample."),
         classifier_specs=_parse_classifiers(raw.get("classifiers")),
         configurations=list(raw.get("configurations", CONFIGURATION_TAGS)),
-        timing_repeats=int(raw.get("timing_repeats", DEFAULT_TIMING_REPEATS)),
+        timing_repeats=_scalar(raw, "timing_repeats", int, DEFAULT_TIMING_REPEATS, ""),
     )

@@ -122,29 +122,35 @@ def load_csv(path, schema="infer") -> RawRecordTable:
     schema may be "infer" or an explicit list of expected column names.
     Raises DataFormatError for an empty file, duplicate header names, a
     schema mismatch, or any row whose field count differs from the header
-    (the offending 1-based data row number is reported).
+    (the offending 1-based data row number is reported), and for a path
+    that exists but cannot be read as UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DataFormatError(f"{path}: duplicate header names {dupes}")
-        if schema != "infer" and list(schema) != header:
-            raise DataFormatError(
-                f"{path}: header {header} does not match expected schema {list(schema)}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise DataFormatError(f"{path}: duplicate header names {dupes}")
+            if schema != "infer" and list(schema) != header:
                 raise DataFormatError(
-                    f"{path}: ragged row {i}: {len(row)} fields, expected {len(header)}"
+                    f"{path}: header {header} does not match expected schema {list(schema)}"
                 )
-            rows.append(row)
+            rows = []
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"{path}: ragged row {i}: {len(row)} fields, expected {len(header)}"
+                    )
+                rows.append(row)
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
     return RawRecordTable(header=tuple(header), rows=rows, source_path=str(path))
 
 
@@ -164,42 +170,38 @@ def _parse_label_column(raw: list[str]) -> np.ndarray:
 def _parse_feature_column(name: str, raw: list[str]):
     """Return (float array, None) for a numeric column or (codes, encoding)
     for a nominal one. A column mixing numeric and non-numeric cells is a hard
-    error: silently dropping rows would corrupt every downstream row count."""
-    values = np.empty(len(raw), dtype=float)
-    n_parseable = 0
-    first_unparseable = None
-    first_nonfinite = None
-    for i, s in enumerate(raw):
-        try:
-            v = float(s)
-        except ValueError:
-            v = np.nan
-            if first_unparseable is None:
-                first_unparseable = (i, s)
-        else:
-            n_parseable += 1
-            if not np.isfinite(v) and first_nonfinite is None:
-                first_nonfinite = (i, s)
-        values[i] = v
-    if n_parseable == len(raw):
-        if first_nonfinite is not None:
-            i, s = first_nonfinite
+    error: silently dropping rows would corrupt every downstream row count.
+
+    numpy parses each cell as float() does, so a numeric column takes one
+    vectorised pass; a column with an unparseable cell is scanned per cell."""
+    try:
+        values = np.asarray(raw, dtype=float)
+    except ValueError:
+        pass
+    else:
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        if nonfinite.size:
+            i = int(nonfinite[0])
             raise DataValidationError(
-                f"column '{name}', row {i + 1}: non-finite value {s!r}"
+                f"column '{name}', row {i + 1}: non-finite value {raw[i]!r}"
             )
         return values, None
-    if n_parseable == 0 and raw:
-        encoding: dict[str, int] = {}
-        codes = np.empty(len(raw), dtype=float)
-        for i, s in enumerate(raw):
-            if s not in encoding:
-                encoding[s] = len(encoding)
-            codes[i] = encoding[s]
-        return codes, encoding
-    i, s = first_unparseable
-    raise DataValidationError(
-        f"column '{name}', row {i + 1}: cannot parse {s!r} as a number"
-    )
+    parses = []
+    for s in raw:
+        try:
+            float(s)
+        except ValueError:
+            parses.append(False)
+        else:
+            parses.append(True)
+    if any(parses):
+        i = parses.index(False)
+        raise DataValidationError(
+            f"column '{name}', row {i + 1}: cannot parse {raw[i]!r} as a number"
+        )
+    encoding: dict[str, int] = {}
+    codes = np.array([encoding.setdefault(s, len(encoding)) for s in raw], dtype=float)
+    return codes, encoding
 
 
 def prepare(

@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 import yaml
 
+from privids import cli
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
 from privids.config import load_config
 from privids.errors import ConfigError
@@ -28,6 +31,13 @@ def _strip_timing(obj):
     if isinstance(obj, list):
         return [_strip_timing(v) for v in obj]
     return obj
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_load_config_defaults(tmp_path, small_csv):
@@ -75,6 +85,22 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         )
 
 
+def test_non_numeric_config_scalar_exits_1(tmp_path, small_csv, capsys):
+    config_path = _config_file(tmp_path, small_csv, selection={"pcc_threshold": "abc"})
+    assert main(["select", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "selection.pcc_threshold" in err
+    assert err.count("\n") == 1
+
+
+def test_scalar_drop_columns_rejected(tmp_path, small_csv):
+    config_path = _config_file(
+        tmp_path, small_csv, dataset={"path": str(small_csv), "drop_columns": "id"}
+    )
+    with pytest.raises(ConfigError, match="dataset.drop_columns must be a list"):
+        load_config(config_path)
+
+
 def test_cmd_select_outputs(tmp_path, small_csv, capsys):
     config_path = _config_file(tmp_path, small_csv)
     assert main(["select", "--config", str(config_path)]) == 0
@@ -102,6 +128,23 @@ def test_missing_dataset_exits_2(tmp_path, capsys):
     config_path = _config_file(tmp_path, tmp_path / "absent.csv")
     assert main(["select", "--config", str(config_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sha256", [None, "0" * 64])
+def test_dataset_directory_exits_2(tmp_path, capsys, sha256):
+    config_path = _config_file(
+        tmp_path, tmp_path, dataset={"path": str(tmp_path), "sha256": sha256}
+    )
+    assert main(["select", "--config", str(config_path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_non_utf8_dataset_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "latin1.csv"
+    dataset.write_bytes(b"a,label\n1,0\ncaf\xe9,1\n")
+    config_path = _config_file(tmp_path, dataset)
+    assert main(["select", "--config", str(config_path)]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_bad_config_exits_1(tmp_path, small_csv, capsys):
@@ -258,3 +301,43 @@ def test_pipeline_function_returns_written_paths(tmp_path, small_csv):
     assert "manifest.json" in names
     assert "selection_report.json" in names
     assert "evaluation_baseline.json" in names
+
+
+def _comparable(path):
+    if path.suffix == ".json":
+        return _strip_timing(json.loads(path.read_text()))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in NONDETERMINISTIC_KEYS]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def test_pipeline_ingests_once_and_matches_separate_commands(tmp_path, small_csv, monkeypatch):
+    configurations = ["baseline", "pcc_only", "lsm_only", "pcc_lsm"]
+    separate = {}
+    for command in ("select", "distort", "evaluate"):
+        out = tmp_path / command
+        config_path = _config_file(
+            tmp_path, small_csv, configurations=configurations, output_dir=str(out)
+        )
+        assert main([command, "--config", str(config_path)]) == 0
+        separate.update({p.name: p for p in out.iterdir()})
+
+    calls = Counter()
+    for name in ("load_csv", "prepare", "correlation_matrix"):
+        def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / "pipeline"
+    config_path = _config_file(
+        tmp_path, small_csv, configurations=configurations, output_dir=str(out)
+    )
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert calls == {"load_csv": 1, "prepare": 1, "correlation_matrix": 1}
+
+    piped = {p.name: p for p in out.iterdir() if p.name != "manifest.json"}
+    assert sorted(piped) == sorted(separate)
+    for name, path in piped.items():
+        assert _comparable(path) == _comparable(separate[name]), name

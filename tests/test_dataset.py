@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import parse_oracle
 from privids.dataset import (
     EncodingMap,
     FeatureMatrix,
@@ -10,6 +13,7 @@ from privids.dataset import (
     stratified_sample,
     stratified_split,
 )
+from privids.dataset import _parse_feature_column
 from privids.errors import DataFormatError, DataValidationError
 
 
@@ -77,6 +81,43 @@ def test_prepare_rejects_nonfinite_numeric(tmp_path):
     table = load_csv(_write(tmp_path, "a,label\n1.5,0\nNaN,1\n"))
     with pytest.raises(DataValidationError, match="non-finite"):
         prepare(table, [], "label")
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003", max_size=2)
+_NUMERIC_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.lists(st.text(alphabet="0123456789", min_size=1, max_size=3), min_size=1, max_size=4).map(
+        "_".join
+    ),
+    st.builds("{}e{}".format, st.floats(-1e3, 1e3).map(repr), st.integers(-400, 400)),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400", "+.5", "0x10", "", "_1", "1__0"]),
+)
+_NUMERIC = st.builds("{}{}{}".format, _WHITESPACE, _NUMERIC_CELLS, _WHITESPACE)
+_NOMINAL = st.one_of(
+    st.sampled_from(["tcp", "udp", "-", "dns", "FIN", "http"]),
+    st.text(alphabet="bcdklmxyz-_. ", min_size=1, max_size=4),
+)
+
+
+def _outcome(parse, raw):
+    try:
+        values, encoding = parse("col", raw)
+    except DataValidationError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.tobytes(), None if encoding is None else list(encoding.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_NUMERIC, max_size=12),
+        st.lists(_NOMINAL, min_size=1, max_size=12),
+        st.lists(st.one_of(_NUMERIC, _NOMINAL), min_size=1, max_size=12),
+    )
+)
+def test_column_parse_matches_per_cell_oracle(raw):
+    assert _outcome(_parse_feature_column, raw) == _outcome(parse_oracle.parse_feature_column, raw)
 
 
 def test_prepare_drops_requested_columns(tmp_path):
