@@ -16,7 +16,7 @@ from .dataset import (
     stratified_sample,
     stratified_split,
 )
-from .distortion import DistortedMatrix, DistortionModel, distort, fit_lsm, transform
+from .distortion import DistortionModel, distort, fit_lsm, transform
 from .feature_selection import (
     CorrelationMatrix,
     SelectionReport,
@@ -28,12 +28,9 @@ from .feature_selection import (
 )
 from .privacy_metrics import (
     PrivacyReport,
-    RankTable,
     feature_rank_change,
     privacy_report,
     rank_elements,
-    rank_maintenance,
-    rank_position,
     value_difference,
 )
 
@@ -53,17 +50,13 @@ __all__ = [
     "rank_features",
     "select_by_threshold",
     "apply_selection",
-    "DistortedMatrix",
     "DistortionModel",
     "fit_lsm",
     "transform",
     "distort",
     "PrivacyReport",
-    "RankTable",
     "value_difference",
     "rank_elements",
-    "rank_position",
-    "rank_maintenance",
     "feature_rank_change",
     "privacy_report",
 ]

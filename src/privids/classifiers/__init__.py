@@ -9,7 +9,6 @@ concurrent predict calls.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,8 @@ def _validate_hyperparameters(kind: str, hp: dict) -> dict:
         "batch_size": lambda v: isinstance(v, int) and v >= 1,
     }
     for key, value in merged.items():
-        if not checks[key](value):
+        # bool is a subclass of int, but true/false is never a count or a rate
+        if isinstance(value, bool) or not checks[key](value):
             raise DataValidationError(f"{kind}: invalid hyperparameter {key}={value!r}")
     return merged
 
@@ -84,7 +84,6 @@ class TrainedModel:
     hyperparameters: dict
     seed: int
     training_columns: tuple[str, ...]
-    train_time_s: float
 
 
 def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
@@ -100,16 +99,12 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     labels = y.values
     if spec.kind != "knn" and (np.all(labels == 0) or np.all(labels == 1)):
         raise DataValidationError(f"{spec.kind}: training data contains a single class")
-    start = time.perf_counter()
-    state = _MODULES[spec.kind].train(X.values, labels, hp, spec.seed)
-    elapsed = time.perf_counter() - start
     return TrainedModel(
         kind=spec.kind,
-        state=state,
+        state=_MODULES[spec.kind].train(X.values, labels, hp, spec.seed),
         hyperparameters=hp,
         seed=spec.seed,
         training_columns=tuple(X.column_names),
-        train_time_s=elapsed,
     )
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import statistics
 import sys
 import time
 from functools import cached_property
@@ -138,11 +137,10 @@ class Stages:
             X, y = self.ingested
             if tag == "pcc_lsm":
                 X = self.selected
-            times = []
-            for _ in range(self.config.timing_repeats):
-                matrix, model, elapsed = distort(X, y)
-                times.append(elapsed)
-            self._distorted[tag] = (matrix, model, statistics.median(times))
+            (matrix, model), elapsed = evaluation.median_time(
+                lambda: distort(X, y), self.config.timing_repeats
+            )
+            self._distorted[tag] = (matrix, model, elapsed)
         return self._distorted[tag]
 
 

@@ -53,10 +53,9 @@ class PipelineConfig:
             raise ConfigError(f"pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.sample_rows is not None and (
-            not isinstance(self.sample_rows, int) or self.sample_rows < 1
-        ):
-            raise ConfigError(f"sample rows must be a positive integer, got {self.sample_rows!r}")
+        rows = self.sample_rows
+        if rows is not None and (not isinstance(rows, int) or isinstance(rows, bool) or rows < 1):
+            raise ConfigError(f"sample.rows must be a positive integer, got {rows!r}")
         if self.timing_repeats < 1:
             raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
         if not self.configurations:
@@ -66,11 +65,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown configurations {bad_tags}, expected {CONFIGURATION_TAGS}")
         if len(set(self.configurations)) != len(self.configurations):
             raise ConfigError("duplicate configuration tags")
-        for spec in self.classifier_specs:
+        for i, spec in enumerate(self.classifier_specs):
             try:
                 spec.resolved()
             except DataValidationError as exc:
-                raise ConfigError(str(exc)) from None
+                raise ConfigError(f"classifiers[{i}]: {exc}") from None
 
     def echo(self) -> dict:
         """Every effective value, defaults included, for the run manifest."""
@@ -111,13 +110,15 @@ def _take(section: dict, allowed: set[str], where: str):
 
 
 def _scalar(section: dict, key: str, convert, default, where: str):
-    """section[key] (or the default) through int or float; a failed
+    """section[key] (or the default) through int or float; a bool or a failed
     conversion is a ConfigError naming the key path."""
     value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}{key} must be {convert.__name__}, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where}{key} must be {convert.__name__}, got {value!r}")
 
 
 def _parse_classifiers(raw) -> list[ClassifierSpec]:
@@ -182,6 +183,12 @@ def load_config(path) -> PipelineConfig:
     drop_columns = dataset.get("drop_columns", DEFAULT_DROP_COLUMNS)
     if not isinstance(drop_columns, list):
         raise ConfigError(f"dataset.drop_columns must be a list, got {drop_columns!r}")
+    min_max_scale = dataset.get("min_max_scale", False)
+    if not isinstance(min_max_scale, bool):
+        raise ConfigError(f"dataset.min_max_scale must be true or false, got {min_max_scale!r}")
+    sha256 = dataset.get("sha256")
+    if sha256 is not None and not isinstance(sha256, str):
+        raise ConfigError(f"dataset.sha256 must be a string, got {sha256!r}")
 
     return PipelineConfig(
         dataset_path=str(dataset["path"]),
@@ -189,8 +196,8 @@ def load_config(path) -> PipelineConfig:
         drop_columns=list(drop_columns),
         label_column=str(dataset.get("label_column", DEFAULT_LABEL_COLUMN)),
         category_column=dataset.get("category_column", DEFAULT_CATEGORY_COLUMN),
-        sha256=dataset.get("sha256"),
-        min_max_scale=bool(dataset.get("min_max_scale", False)),
+        sha256=sha256,
+        min_max_scale=min_max_scale,
         pcc_threshold=_scalar(
             selection, "pcc_threshold", float, DEFAULT_PCC_THRESHOLD, "selection."
         ),

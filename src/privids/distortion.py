@@ -9,7 +9,6 @@ coefficient and every element is shifted by the same scalar.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,6 @@ class DistortionModel:
     def shift(self) -> float:
         """The scalar (intercept + residual) added to every element."""
         return self.intercept + self.residual
-
-
-class DistortedMatrix(FeatureMatrix):
-    """Distorted counterpart of a FeatureMatrix; same shape and column names."""
 
 
 def _as_target(y) -> np.ndarray:
@@ -97,20 +92,17 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
     )
 
 
-def transform(X: FeatureMatrix, model: DistortionModel) -> DistortedMatrix:
+def transform(X: FeatureMatrix, model: DistortionModel) -> FeatureMatrix:
     """Apply the per-column affine rewrite to every element of X."""
     if tuple(X.column_names) != model.fitted_on:
         raise DataValidationError(
             f"matrix columns {X.column_names} do not match fitted columns {model.fitted_on}"
         )
     distorted = X.values * model.beta[np.newaxis, :] + model.shift
-    return DistortedMatrix(distorted, X.column_names)
+    return FeatureMatrix(distorted, X.column_names)
 
 
-def distort(X: FeatureMatrix, y) -> tuple[DistortedMatrix, DistortionModel, float]:
-    """Fit and transform in one step; returns the wall time around both."""
-    start = time.perf_counter()
+def distort(X: FeatureMatrix, y) -> tuple[FeatureMatrix, DistortionModel]:
+    """Fit and transform in one step."""
     model = fit_lsm(X, y)
-    distorted = transform(X, model)
-    elapsed = time.perf_counter() - start
-    return distorted, model, elapsed
+    return transform(X, model), model

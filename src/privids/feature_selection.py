@@ -30,10 +30,6 @@ class CorrelationMatrix:
     def m(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def defined(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 @dataclass(frozen=True)
 class DropRecord:

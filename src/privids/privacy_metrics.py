@@ -17,13 +17,6 @@ from .errors import DataValidationError
 
 
 @dataclass(frozen=True)
-class RankTable:
-    """Per-column ordinal ranks (1..n); ties keep original row order."""
-
-    ranks: np.ndarray
-
-
-@dataclass(frozen=True)
 class PrivacyReport:
     """One row of privacy measures plus the distortion wall time."""
 
@@ -36,16 +29,6 @@ class PrivacyReport:
     n: int
     m: int
     rp_sum: float  # unnormalized total rank displacement, exported alongside
-
-    def as_row(self) -> dict:
-        return {
-            "VD": self.vd,
-            "RP": self.rp,
-            "RK": self.rk,
-            "CP": self.cp,
-            "CK": self.ck,
-            "Time": self.distortion_time_s,
-        }
 
 
 def _as_2d(M) -> np.ndarray:
@@ -71,9 +54,9 @@ def value_difference(X, TX) -> float:
     return float(np.linalg.norm(x - tx) / denom)
 
 
-def rank_elements(M) -> RankTable:
-    """Ordinal rank of every element within its column; rank r means the
-    value is the r-th smallest, ties resolved by lower row index first."""
+def rank_elements(M) -> np.ndarray:
+    """Ordinal rank (1..n) of every element within its column; rank r means
+    the value is the r-th smallest, ties resolved by lower row index first."""
     arr = _as_2d(M)
     if not np.all(np.isfinite(arr)):
         raise DataValidationError("ranks require finite entries")
@@ -82,25 +65,7 @@ def rank_elements(M) -> RankTable:
     ranks = np.empty_like(order)
     rows = np.arange(1, n + 1)[:, np.newaxis]
     np.put_along_axis(ranks, order, np.broadcast_to(rows, arr.shape), axis=0)
-    return RankTable(ranks)
-
-
-def rank_position(X, TX) -> float:
-    """Mean absolute per-column rank displacement over all elements (RP)."""
-    x = _as_2d(X)
-    tx = _as_2d(TX)
-    _check_same_shape(x, tx)
-    diff = np.abs(rank_elements(x).ranks - rank_elements(tx).ranks)
-    return float(diff.mean())
-
-
-def rank_maintenance(X, TX) -> float:
-    """Fraction of elements whose per-column rank is unchanged (RK)."""
-    x = _as_2d(X)
-    tx = _as_2d(TX)
-    _check_same_shape(x, tx)
-    same = rank_elements(x).ranks == rank_elements(tx).ranks
-    return float(same.mean())
+    return ranks
 
 
 def _rank_means(arr: np.ndarray) -> np.ndarray:
@@ -130,7 +95,7 @@ def privacy_report(X, TX, elapsed: float) -> PrivacyReport:
     x = _as_2d(X)
     tx = _as_2d(TX)
     _check_same_shape(x, tx)
-    rank_diff = np.abs(rank_elements(x).ranks - rank_elements(tx).ranks)
+    rank_diff = np.abs(rank_elements(x) - rank_elements(tx))
     cp, ck = feature_rank_change(x, tx)
     return PrivacyReport(
         vd=value_difference(x, tx),

@@ -30,7 +30,7 @@ from privids.dataset import (
     stratified_split,
 )
 from privids.distortion import DistortionModel, distort, fit_lsm, transform
-from privids.evaluation import run_configuration
+from privids.evaluation import median_time, run_configuration
 from privids.feature_selection import (
     apply_selection,
     correlation_matrix,
@@ -292,8 +292,8 @@ def utility_runs(sample_10k):
     rounds = 5
     distort_times = {"full": [], "selected": []}
     for _ in range(rounds):
-        distort_times["full"].append(distort(X, y)[2])
-        distort_times["selected"].append(distort(X_selected, y)[2])
+        distort_times["full"].append(median_time(lambda: distort(X, y), 1)[1])
+        distort_times["selected"].append(median_time(lambda: distort(X_selected, y), 1)[1])
     distorted_selected = distort(X_selected, y)[0]
 
     splits = {}
@@ -374,8 +374,8 @@ def test_criterion_09_privacy_directionality_full_csv():
     selection = select_by_threshold(correlation_matrix(X), 0.85)
     X_selected = apply_selection(X, selection)
 
-    distorted_full, _, time_full = distort(X, y)
-    distorted_selected, _, time_selected = distort(X_selected, y)
+    (distorted_full, _), time_full = median_time(lambda: distort(X, y), 1)
+    (distorted_selected, _), time_selected = median_time(lambda: distort(X_selected, y), 1)
     full_report = privacy_report(X.values, distorted_full.values, time_full)
     selected_report = privacy_report(X_selected.values, distorted_selected.values, time_selected)
 

@@ -38,6 +38,7 @@ def _assert_one_line_error(capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_load_config_defaults(tmp_path, small_csv):
@@ -85,12 +86,32 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         )
 
 
-def test_non_numeric_config_scalar_exits_1(tmp_path, small_csv, capsys):
-    config_path = _config_file(tmp_path, small_csv, selection={"pcc_threshold": "abc"})
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("selection.pcc_threshold", {"selection": {"pcc_threshold": "abc"}}),
+        # bool is a subclass of int: true must not run as 1
+        ("selection.pcc_threshold", {"selection": {"pcc_threshold": True}}),
+        ("timing_repeats", {"timing_repeats": True}),
+        ("split.seed", {"split": {"seed": True}}),
+        ("sample.rows", {"sample": {"rows": True}}),
+        (
+            "classifiers[0]: knn: invalid hyperparameter k",
+            {"classifiers": [{"kind": "knn", "hyperparameters": {"k": True}}]},
+        ),
+        # a quoted "false" is truthy, so it would turn scaling on
+        ("dataset.min_max_scale", {"dataset": {"min_max_scale": "false"}}),
+        ("dataset.sha256", {"dataset": {"sha256": 123}}),
+    ],
+    ids=["pcc_threshold-str", "pcc_threshold-bool", "timing_repeats-bool", "split_seed-bool",
+         "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int"],
+)
+def test_non_numeric_config_scalar_exits_1(tmp_path, small_csv, capsys, key, overrides):
+    if "dataset" in overrides:
+        overrides = {"dataset": {"path": str(small_csv), **overrides["dataset"]}}
+    config_path = _config_file(tmp_path, small_csv, **overrides)
     assert main(["select", "--config", str(config_path)]) == 1
-    err = capsys.readouterr().err
-    assert "selection.pcc_threshold" in err
-    assert err.count("\n") == 1
+    assert key in _assert_one_line_error(capsys)
 
 
 def test_scalar_drop_columns_rejected(tmp_path, small_csv):

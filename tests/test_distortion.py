@@ -92,17 +92,16 @@ def test_transform_column_mismatch():
 
 def test_distort_exact_fit_composition():
     X = _matrix([[1.0], [2.0], [3.0]])
-    distorted, model, elapsed = distort(X, np.array([2.0, 4.0, 6.0]))
+    distorted, model = distort(X, np.array([2.0, 4.0, 6.0]))
     assert np.allclose(distorted.values, 2.0 * X.values, atol=1e-9)
     assert model.shift == pytest.approx(0.0, abs=1e-9)
-    assert elapsed >= 0.0
 
 
 def test_distort_matches_explicit_oracle():
     rng = np.random.default_rng(10)
     X = _matrix(rng.normal(size=(100, 5)) + rng.uniform(-2, 2, size=5))
     y = rng.normal(size=100)
-    distorted, model, _ = distort(X, y)
+    distorted, model = distort(X, y)
     c0, beta, resid = normal_equations_oracle(X.values, y)
     expected = X.values * beta[np.newaxis, :] + (c0 + resid)
     assert np.allclose(distorted.values, expected, rtol=1e-8, atol=1e-10)
@@ -146,6 +145,6 @@ def test_distortion_round_trip_recovers_input():
     rng = np.random.default_rng(14)
     X = _matrix(rng.uniform(1.0, 100.0, size=(40, 4)))
     y = rng.normal(size=40)
-    distorted, model, _ = distort(X, y)
+    distorted, model = distort(X, y)
     recovered = (distorted.values - model.shift) / model.beta[np.newaxis, :]
     assert np.allclose(recovered, X.values, rtol=1e-9)

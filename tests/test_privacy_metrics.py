@@ -8,8 +8,6 @@ from privids.privacy_metrics import (
     feature_rank_change,
     privacy_report,
     rank_elements,
-    rank_maintenance,
-    rank_position,
     value_difference,
 )
 
@@ -52,42 +50,49 @@ def test_vd_scales_linearly():
 
 
 def test_rank_elements_basic_and_ties():
-    assert list(rank_elements(np.array([[10.0], [5.0], [7.0]])).ranks[:, 0]) == [3, 1, 2]
-    assert list(rank_elements(np.array([[5.0], [5.0], [1.0]])).ranks[:, 0]) == [2, 3, 1]
+    assert list(rank_elements(np.array([[10.0], [5.0], [7.0]]))[:, 0]) == [3, 1, 2]
+    assert list(rank_elements(np.array([[5.0], [5.0], [1.0]]))[:, 0]) == [2, 3, 1]
 
 
 def test_rank_elements_matches_bruteforce():
     rng = np.random.default_rng(21)
     M = rng.integers(0, 20, size=(50, 3)).astype(float)  # integers force ties
-    table = rank_elements(M)
+    ranks = rank_elements(M)
     for j in range(3):
-        assert list(table.ranks[:, j]) == rank_oracle(list(M[:, j]))
+        assert list(ranks[:, j]) == rank_oracle(list(M[:, j]))
+
+
+def _doubled(column):
+    """A one-column case as two equal columns: CP/CK need two columns, and
+    repeating every element leaves the RP and RK means unchanged."""
+    return np.hstack([column, column])
 
 
 def test_rank_position_identity_and_hand_case():
-    X = np.array([[1.0], [2.0], [3.0]])
-    assert rank_position(X, X) == 0.0
+    X = _doubled(np.array([[1.0], [2.0], [3.0]]))
+    assert privacy_report(X, X, 0.0).rp == 0.0
     # distorted column ranks become [3, 1, 2]
-    TX = np.array([[9.0], [1.0], [2.0]])
-    assert rank_position(X, TX) == pytest.approx(4.0 / 3.0)
+    TX = _doubled(np.array([[9.0], [1.0], [2.0]]))
+    assert privacy_report(X, TX, 0.0).rp == pytest.approx(4.0 / 3.0)
 
 
 def test_rank_position_reversal_matches_oracle():
     rng = np.random.default_rng(22)
     col = rng.permutation(41).astype(float)
-    X = col[:, np.newaxis]
+    X = _doubled(col[:, np.newaxis])
     TX = -X
     expected = np.mean(np.abs(np.array(rank_oracle(list(col))) - np.array(rank_oracle(list(-col)))))
-    assert rank_position(X, TX) == pytest.approx(expected)
+    assert privacy_report(X, TX, 0.0).rp == pytest.approx(expected)
 
 
 def test_rank_maintenance_identity_and_monotone_map():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(40, 3))
-    assert rank_maintenance(X, X) == 1.0
+    assert privacy_report(X, X, 0.0).rk == 1.0
     TX = X * np.array([2.0, 0.5, 7.0]) + np.array([1.0, -3.0, 0.0])
-    assert rank_maintenance(X, TX) == 1.0
-    assert rank_position(X, TX) == 0.0
+    report = privacy_report(X, TX, 0.0)
+    assert report.rk == 1.0
+    assert report.rp == 0.0
 
 
 def test_rank_maintenance_matches_bruteforce():
@@ -96,8 +101,9 @@ def test_rank_maintenance_matches_bruteforce():
     TX = rng.normal(size=(25, 3))
     rx = np.column_stack([rank_oracle(list(X[:, j])) for j in range(3)])
     rtx = np.column_stack([rank_oracle(list(TX[:, j])) for j in range(3)])
-    assert rank_maintenance(X, TX) == pytest.approx(float((rx == rtx).mean()))
-    assert rank_position(X, TX) == pytest.approx(float(np.abs(rx - rtx).mean()))
+    report = privacy_report(X, TX, 0.0)
+    assert report.rk == pytest.approx(float((rx == rtx).mean()))
+    assert report.rp == pytest.approx(float(np.abs(rx - rtx).mean()))
 
 
 def test_feature_rank_change_identity_and_swap():
