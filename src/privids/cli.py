@@ -12,8 +12,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
@@ -52,9 +54,24 @@ NONDETERMINISTIC_KEYS = frozenset(
 DISTORTED_TAGS = ("lsm_only", "pcc_lsm")
 
 
-def _write_json(path: Path, payload) -> Path:
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write in place of path: it is written beside path and
+    renamed over it only when the block completes, so path is never left
+    half written; on an exception the partial file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload) -> Path:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -69,8 +86,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

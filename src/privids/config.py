@@ -1,12 +1,15 @@
 """Pipeline configuration: a single YAML file with strict key checking.
 
-Every field has an explicit default so a run manifest can echo the full
-effective configuration. Unknown keys are rejected at every nesting level.
+One table, SCHEMA, lists every key but `classifiers` with its type and
+default; loading, type checks and the run manifest's echo of the full
+effective configuration all read it. Unknown keys are rejected at every
+nesting level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import yaml
 
@@ -14,57 +17,106 @@ from .classifiers import KINDS, ClassifierSpec
 from .errors import ConfigError, DataValidationError
 from .evaluation import CONFIGURATION_TAGS
 
-DEFAULT_DROP_COLUMNS = ["id"]
-DEFAULT_LABEL_COLUMN = "label"
-DEFAULT_CATEGORY_COLUMN = "attack_cat"
-DEFAULT_PCC_THRESHOLD = 0.85
-DEFAULT_TEST_FRACTION = 0.3
 DEFAULT_SEED = 42
-DEFAULT_TIMING_REPEATS = 3
+_REQUIRED = object()
+
+# (section, key, PipelineConfig field, type, default) for every key except
+# `classifiers`; section None is the top level of the file.
+SCHEMA = (
+    ("dataset", "path", "dataset_path", str, _REQUIRED),
+    ("dataset", "drop_columns", "drop_columns", list[str], ["id"]),
+    ("dataset", "label_column", "label_column", str, "label"),
+    ("dataset", "category_column", "category_column", str | None, "attack_cat"),
+    ("dataset", "sha256", "sha256", str | None, None),
+    ("dataset", "min_max_scale", "min_max_scale", bool, False),
+    ("selection", "pcc_threshold", "pcc_threshold", float, 0.85),
+    ("split", "test_fraction", "test_fraction", float, 0.3),
+    ("split", "seed", "split_seed", int, DEFAULT_SEED),
+    ("sample", "rows", "sample_rows", int | None, None),
+    ("sample", "seed", "sample_seed", int, DEFAULT_SEED),
+    (None, "configurations", "configurations", list[str], list(CONFIGURATION_TAGS)),
+    (None, "timing_repeats", "timing_repeats", int, 3),
+    (None, "output_dir", "output_dir", str, "runs/out"),
+)
+
+_TYPE_NAMES = {
+    int: "an integer",
+    int | None: "an integer or null",
+    float: "a number",
+    str: "a string",
+    str | None: "a string or null",
+    bool: "true or false",
+    list[str]: "a list of strings",
+    list | None: "a list or null",
+    dict | None: "a mapping or null",
+}
+
+
+def _typed(value, kind, where: str):
+    """value if it has the type kind, else a ConfigError naming where. bool is
+    never a number, an int under a float key becomes a float, a list is copied."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if kind == list[str]:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return list(value) if isinstance(value, list) else value
+
+
+def _mapping(value, where: str, allowed) -> dict:
+    """value as a mapping (null reads as empty) with no key outside allowed."""
+    value = _typed(value, dict | None, where) or {}
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    return value
 
 
 @dataclass
 class PipelineConfig:
     dataset_path: str
-    output_dir: str = "runs/out"
-    drop_columns: list[str] = field(default_factory=lambda: list(DEFAULT_DROP_COLUMNS))
-    label_column: str = DEFAULT_LABEL_COLUMN
-    category_column: str | None = DEFAULT_CATEGORY_COLUMN
-    sha256: str | None = None
-    min_max_scale: bool = False
-    pcc_threshold: float = DEFAULT_PCC_THRESHOLD
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    split_seed: int = DEFAULT_SEED
-    sample_rows: int | None = None
-    sample_seed: int = DEFAULT_SEED
-    classifier_specs: list[ClassifierSpec] = field(default_factory=list)
-    configurations: list[str] = field(default_factory=lambda: list(CONFIGURATION_TAGS))
-    timing_repeats: int = DEFAULT_TIMING_REPEATS
+    output_dir: str
+    drop_columns: list[str]
+    label_column: str
+    category_column: str | None
+    sha256: str | None
+    min_max_scale: bool
+    pcc_threshold: float
+    test_fraction: float
+    split_seed: int
+    sample_rows: int | None
+    sample_seed: int
+    classifier_specs: list[ClassifierSpec]
+    configurations: list[str]
+    timing_repeats: int
 
     def __post_init__(self):
-        if not self.classifier_specs:
-            self.classifier_specs = [
-                ClassifierSpec(kind=k, hyperparameters={}, seed=DEFAULT_SEED) for k in KINDS
-            ]
         self.validate()
 
     def validate(self):
         if not (0.0 < self.pcc_threshold <= 1.0):
-            raise ConfigError(f"pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
+            raise ConfigError(f"selection.pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
         if not (0.0 < self.test_fraction < 1.0):
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        rows = self.sample_rows
-        if rows is not None and (not isinstance(rows, int) or isinstance(rows, bool) or rows < 1):
-            raise ConfigError(f"sample.rows must be a positive integer, got {rows!r}")
+            raise ConfigError(f"split.test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.sample_rows is not None and self.sample_rows < 1:
+            raise ConfigError(f"sample.rows must be a positive integer, got {self.sample_rows}")
         if self.timing_repeats < 1:
             raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
+        seeds = {"split.seed": self.split_seed, "sample.seed": self.sample_seed}
+        seeds.update((f"classifiers[{i}].seed", s.seed) for i, s in enumerate(self.classifier_specs))
+        for where, seed in seeds.items():
+            if seed < 0:
+                raise ConfigError(f"{where} must be >= 0, got {seed}")
         if not self.configurations:
-            raise ConfigError("at least one configuration tag is required")
+            raise ConfigError("configurations must name at least one configuration tag")
         bad_tags = [t for t in self.configurations if t not in CONFIGURATION_TAGS]
         if bad_tags:
             raise ConfigError(f"unknown configurations {bad_tags}, expected {CONFIGURATION_TAGS}")
         if len(set(self.configurations)) != len(self.configurations):
-            raise ConfigError("duplicate configuration tags")
+            raise ConfigError("configurations has duplicate tags")
         for i, spec in enumerate(self.classifier_specs):
             try:
                 spec.resolved()
@@ -73,75 +125,15 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """Every effective value, defaults included, for the run manifest."""
-        return {
-            "dataset": {
-                "path": self.dataset_path,
-                "drop_columns": list(self.drop_columns),
-                "label_column": self.label_column,
-                "category_column": self.category_column,
-                "sha256": self.sha256,
-                "min_max_scale": self.min_max_scale,
-            },
-            "selection": {"pcc_threshold": self.pcc_threshold},
-            "split": {"test_fraction": self.test_fraction, "seed": self.split_seed},
-            "sample": {"rows": self.sample_rows, "seed": self.sample_seed},
+        out = {
             "classifiers": [
                 {"kind": s.kind, "hyperparameters": s.resolved(), "seed": s.seed}
                 for s in self.classifier_specs
-            ],
-            "configurations": list(self.configurations),
-            "timing_repeats": self.timing_repeats,
-            "output_dir": self.output_dir,
+            ]
         }
-
-
-def _require_mapping(value, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _take(section: dict, allowed: set[str], where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _scalar(section: dict, key: str, convert, default, where: str):
-    """section[key] (or the default) through int or float; a bool or a failed
-    conversion is a ConfigError naming the key path."""
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return convert(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where}{key} must be {convert.__name__}, got {value!r}")
-
-
-def _parse_classifiers(raw) -> list[ClassifierSpec]:
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        raise ConfigError("classifiers must be a list")
-    specs = []
-    for i, entry in enumerate(raw):
-        entry = _require_mapping(entry, f"classifiers[{i}]")
-        _take(entry, {"kind", "hyperparameters", "seed"}, f"classifiers[{i}]")
-        if "kind" not in entry:
-            raise ConfigError(f"classifiers[{i}]: 'kind' is required")
-        specs.append(
-            ClassifierSpec(
-                kind=entry["kind"],
-                hyperparameters=_require_mapping(
-                    entry.get("hyperparameters"), f"classifiers[{i}].hyperparameters"
-                ),
-                seed=_scalar(entry, "seed", int, DEFAULT_SEED, f"classifiers[{i}]."),
-            )
-        )
-    return specs
+        for section, key, name, _, _ in SCHEMA:
+            (out.setdefault(section, {}) if section else out)[key] = getattr(self, name)
+        return copy.deepcopy(out)
 
 
 def load_config(path) -> PipelineConfig:
@@ -151,61 +143,27 @@ def load_config(path) -> PipelineConfig:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
-    raw = _require_mapping(raw, "config")
-    _take(
-        raw,
-        {
-            "dataset",
-            "selection",
-            "split",
-            "sample",
-            "classifiers",
-            "configurations",
-            "timing_repeats",
-            "output_dir",
-        },
-        "config",
-    )
-    dataset = _require_mapping(raw.get("dataset"), "dataset")
-    _take(
-        dataset,
-        {"path", "drop_columns", "label_column", "category_column", "sha256", "min_max_scale"},
-        "dataset",
-    )
-    if "path" not in dataset:
-        raise ConfigError("dataset.path is required")
-    selection = _require_mapping(raw.get("selection"), "selection")
-    _take(selection, {"pcc_threshold"}, "selection")
-    split = _require_mapping(raw.get("split"), "split")
-    _take(split, {"test_fraction", "seed"}, "split")
-    sample = _require_mapping(raw.get("sample"), "sample")
-    _take(sample, {"rows", "seed"}, "sample")
-    drop_columns = dataset.get("drop_columns", DEFAULT_DROP_COLUMNS)
-    if not isinstance(drop_columns, list):
-        raise ConfigError(f"dataset.drop_columns must be a list, got {drop_columns!r}")
-    min_max_scale = dataset.get("min_max_scale", False)
-    if not isinstance(min_max_scale, bool):
-        raise ConfigError(f"dataset.min_max_scale must be true or false, got {min_max_scale!r}")
-    sha256 = dataset.get("sha256")
-    if sha256 is not None and not isinstance(sha256, str):
-        raise ConfigError(f"dataset.sha256 must be a string, got {sha256!r}")
+    raw = _mapping(raw, "config", {section or key for section, key, *_ in SCHEMA} | {"classifiers"})
+    sections = {None: raw}
+    for section in dict.fromkeys(s for s, *_ in SCHEMA if s):
+        allowed = {k for s, k, *_ in SCHEMA if s == section}
+        sections[section] = _mapping(raw.get(section), section, allowed)
 
-    return PipelineConfig(
-        dataset_path=str(dataset["path"]),
-        output_dir=str(raw.get("output_dir", "runs/out")),
-        drop_columns=list(drop_columns),
-        label_column=str(dataset.get("label_column", DEFAULT_LABEL_COLUMN)),
-        category_column=dataset.get("category_column", DEFAULT_CATEGORY_COLUMN),
-        sha256=sha256,
-        min_max_scale=min_max_scale,
-        pcc_threshold=_scalar(
-            selection, "pcc_threshold", float, DEFAULT_PCC_THRESHOLD, "selection."
-        ),
-        test_fraction=_scalar(split, "test_fraction", float, DEFAULT_TEST_FRACTION, "split."),
-        split_seed=_scalar(split, "seed", int, DEFAULT_SEED, "split."),
-        sample_rows=sample.get("rows"),
-        sample_seed=_scalar(sample, "seed", int, DEFAULT_SEED, "sample."),
-        classifier_specs=_parse_classifiers(raw.get("classifiers")),
-        configurations=list(raw.get("configurations", CONFIGURATION_TAGS)),
-        timing_repeats=_scalar(raw, "timing_repeats", int, DEFAULT_TIMING_REPEATS, ""),
-    )
+    fields = {}
+    for section, key, name, kind, default in SCHEMA:
+        where = f"{section}.{key}" if section else key
+        value = sections[section].get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        fields[name] = _typed(value, kind, where)
+
+    entries = _typed(raw.get("classifiers"), list | None, "classifiers")
+    specs = []
+    for i, entry in enumerate(entries or [{"kind": k} for k in KINDS]):
+        where = f"classifiers[{i}]"
+        entry = _mapping(entry, where, {"kind", "hyperparameters", "seed"})
+        kind = _typed(entry.get("kind"), str, f"{where}.kind")
+        hyperparameters = _typed(entry.get("hyperparameters"), dict | None, f"{where}.hyperparameters")
+        seed = _typed(entry.get("seed", DEFAULT_SEED), int, f"{where}.seed")
+        specs.append(ClassifierSpec(kind, hyperparameters or {}, seed))
+    return PipelineConfig(classifier_specs=specs, **fields)

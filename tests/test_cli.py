@@ -1,15 +1,22 @@
 import csv
 import hashlib
 import json
+import typing
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privids import cli
+from privids.classifiers import KINDS, default_hyperparameters
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
-from privids.config import load_config
+from privids.config import DEFAULT_SEED, SCHEMA, load_config
 from privids.errors import ConfigError
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "unsw.yaml"
 
 
 def _config_file(tmp_path, dataset_path, **overrides):
@@ -51,6 +58,10 @@ def test_load_config_defaults(tmp_path, small_csv):
     assert [s.kind for s in config.classifier_specs] == ["knn"]
     echoed = config.echo()
     assert echoed["classifiers"][0]["hyperparameters"]["k"] == 3
+    # a YAML int under a float key is stored as a float, so the echo reads 1.0
+    config = load_config(_config_file(tmp_path, small_csv, selection={"pcc_threshold": 1}))
+    assert type(config.pcc_threshold) is float
+    assert json.dumps(config.echo()["selection"]) == '{"pcc_threshold": 1.0}'
 
 
 def test_load_config_fills_all_five_classifiers_by_default(tmp_path, small_csv):
@@ -102,16 +113,111 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         # a quoted "false" is truthy, so it would turn scaling on
         ("dataset.min_max_scale", {"dataset": {"min_max_scale": "false"}}),
         ("dataset.sha256", {"dataset": {"sha256": 123}}),
+        # a float must not truncate to an int
+        ("split.seed", {"split": {"seed": 2.7}}),
+        ("timing_repeats", {"timing_repeats": 2.9}),
+        ("classifiers[0].seed", {"classifiers": [{"kind": "knn", "seed": 1.5}]}),
+        # a string must not split into one-letter tags
+        ("configurations must be a list", {"configurations": "baseline"}),
+        # a list, a number or null must not turn into a column name or a path
+        ("dataset.label_column", {"dataset": {"label_column": ["label"]}}),
+        ("dataset.category_column", {"dataset": {"category_column": 5}}),
+        ("dataset.drop_columns", {"dataset": {"drop_columns": [1]}}),
+        ("dataset.path", {"dataset": {"path": None}}),
+        ("output_dir", {"output_dir": ["x"]}),
+        # numpy's generators reject a negative seed with a bare ValueError
+        ("split.seed", {"split": {"seed": -1}}),
+        ("classifiers[0].seed", {"classifiers": [{"kind": "knn", "seed": -1}]}),
     ],
     ids=["pcc_threshold-str", "pcc_threshold-bool", "timing_repeats-bool", "split_seed-bool",
-         "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int"],
+         "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int", "split_seed-float",
+         "timing_repeats-float", "classifier_seed-float", "configurations-str",
+         "label_column-list", "category_column-int", "drop_columns-int-list", "path-null",
+         "output_dir-list", "split_seed-negative", "classifier_seed-negative"],
 )
-def test_non_numeric_config_scalar_exits_1(tmp_path, small_csv, capsys, key, overrides):
+def test_non_numeric_config_scalar_exits_1(
+    tmp_path, small_csv, capsys, monkeypatch, key, overrides
+):
+    monkeypatch.chdir(tmp_path)  # a wrongly accepted relative output_dir lands here
     if "dataset" in overrides:
         overrides = {"dataset": {"path": str(small_csv), **overrides["dataset"]}}
     config_path = _config_file(tmp_path, small_csv, **overrides)
     assert main(["select", "--config", str(config_path)]) == 1
     assert key in _assert_one_line_error(capsys)
+
+
+def _has_declared_type(value, kind) -> bool:
+    if value is None:
+        return type(None) in typing.get_args(kind)
+    if kind == list[str]:
+        return type(value) is list and all(type(v) is str for v in value)
+    return type(value) in (typing.get_args(kind) or (kind,))
+
+
+YAML_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.lists(st.text(), max_size=4),
+    st.lists(st.integers(), max_size=4),
+    st.dictionaries(st.text(), st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.sampled_from(SCHEMA), value=YAML_VALUES)
+def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row, value):
+    section, key, name, kind, _ = row
+    payload = {"dataset": {"path": "flows.csv"}}
+    (payload.setdefault(section, {}) if section else payload)[key] = value
+    path = tmp_path_factory.getbasetemp() / "schema_property.yaml"
+    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    try:
+        config = load_config(path)
+    except ConfigError as exc:
+        assert (f"{section}.{key}" if section else key) in str(exc)
+        return
+    loaded = getattr(config, name)
+    assert _has_declared_type(loaded, kind)
+    assert loaded == value
+
+
+def test_shipped_config_documents_every_key_with_its_default():
+    doc = yaml.safe_load(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    # keys whose shipped value is an example for a real run, not the default
+    examples = {("dataset", "path"), ("sample", "rows"), (None, "output_dir")}
+    for section, key, _, _, default in SCHEMA:
+        where = f"{section}.{key}" if section else key
+        entries = doc[section] if section else doc
+        assert key in entries, where
+        if (section, key) not in examples:
+            assert entries[key] == default, where
+    assert [c["kind"] for c in doc["classifiers"]] == list(KINDS)
+    for entry in doc["classifiers"]:
+        assert entry.get("hyperparameters", {}) == default_hyperparameters(entry["kind"])
+        assert entry["seed"] == DEFAULT_SEED
+    load_config(SHIPPED_CONFIG)
+
+
+def test_failed_write_leaves_previous_file(tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    json_path = tmp_path / "report.json"
+    cli._write_csv(csv_path, ["a"], [[1]])
+    cli._write_json(json_path, {"a": 1})
+    before = {p: p.read_bytes() for p in (csv_path, json_path)}
+
+    def rows():
+        yield [2]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        cli._write_csv(csv_path, ["a"], rows())
+    with pytest.raises(TypeError):
+        cli._write_json(json_path, {"a": 2, "b": object()})
+    assert {p: p.read_bytes() for p in (csv_path, json_path)} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)
 
 
 def test_scalar_drop_columns_rejected(tmp_path, small_csv):
