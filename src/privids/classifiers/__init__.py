@@ -46,7 +46,7 @@ def _validate_hyperparameters(kind: str, hp: dict) -> dict:
     merged = default_hyperparameters(kind)
     unknown = set(hp) - set(merged)
     if unknown:
-        raise DataValidationError(f"{kind}: unknown hyperparameters {sorted(unknown)}")
+        raise DataValidationError(f"{kind}: unknown hyperparameters {sorted(unknown, key=repr)}")
     merged.update(hp)
     checks = {
         "k": lambda v: isinstance(v, int) and v >= 1,

@@ -1,9 +1,29 @@
-"""Binary CART decision tree with Gini impurity.
+"""Binary CART decision tree with Gini impurity, grown by a lockstep builder.
 
 The split search is exhaustive: every midpoint between adjacent distinct
 sorted values of every candidate feature is scored. Growth stops at
 max_depth, at a pure node, or when a node has fewer than min_samples_split
 rows; leaves predict the majority label, ties resolving toward 0.
+
+One builder, TreeBuilder, grows every tree: the single tree of train() and
+all the forest's trees, in lockstep. Each tree keeps its own depth-first
+stack and its own candidate sampler, so node ids and sampler draws come in
+the order of growing that tree alone. Each round pops the next node to split
+from every tree, and batched searches score the popped nodes a block of
+under 2**16 (rows x candidates) cells at a time: each (node, candidate
+feature) column is sorted by the dense rank of its values, and the weighted
+child Gini is computed only at value boundaries. The result equals a
+per-node search over every sorted position:
+
+- the row and positive counts left of a value boundary do not depend on how
+  tied rows are ordered, and positions inside a run of equal values are
+  never split points;
+- the Gini is the same float expression on the same integer counts;
+- each node takes the first minimum in (left-child size, candidate) order,
+  the order of a flattened argmin over a (sorted position x candidate) table.
+
+A fit runs in the calling process, one round after another, so the
+evaluation's train_time_s is the time of a single-process fit.
 """
 
 from __future__ import annotations
@@ -11,37 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _best_split(values: np.ndarray, labels: np.ndarray):
-    """Lowest weighted child Gini over all candidate (feature, midpoint)
-    splits. values is (k, f); returns (local feature index, threshold) or
-    None when no two adjacent sorted values differ."""
-    k = labels.size
-    if k < 2:
-        return None
-    order = np.argsort(values, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(values, order, axis=0)
-    pos_prefix = np.cumsum(labels[order], axis=0)
-    total_pos = pos_prefix[-1].astype(float)
-
-    left_n = np.arange(1, k, dtype=float)[:, np.newaxis]
-    right_n = float(k) - left_n
-    left_pos = pos_prefix[:-1].astype(float)
-    right_pos = total_pos[np.newaxis, :] - left_pos
-    p_left = left_pos / left_n
-    p_right = right_pos / right_n
-    weighted = (
-        left_n * (2.0 * p_left * (1.0 - p_left))
-        + right_n * (2.0 * p_right * (1.0 - p_right))
-    ) / k
-    weighted = np.where(sorted_vals[:-1] < sorted_vals[1:], weighted, np.inf)
-
-    flat = int(np.argmin(weighted))
-    i, j = np.unravel_index(flat, weighted.shape)
-    if not np.isfinite(weighted[i, j]):
-        return None
-    return int(j), float((sorted_vals[i, j] + sorted_vals[i + 1, j]) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -64,57 +53,196 @@ class TreeState:
         return self.label[node].astype(np.int64)
 
 
-def build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int,
-    min_samples_split: int,
-    feature_sampler=None,
-) -> TreeState:
-    """Grow a tree depth-first. feature_sampler, when given, returns the
-    sorted candidate feature indices for one split attempt (used by the
-    forest for per-split subsampling); None means all features."""
-    all_features = np.arange(X.shape[1])
-    feature, threshold, left, right, label = [], [], [], [], []
+_NOT_LOWEST = np.iinfo(np.int64).max
+# Cells (rows x candidates) scored by one batched search, unless one node alone
+# has more. It bounds the search's temporary arrays to a few MB.
+_BLOCK_CELLS = 1 << 16
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        label.append(0)
-        return len(feature) - 1
 
-    stack = [(new_node(), np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        labels_here = y[idx]
-        positives = int(labels_here.sum())
-        label[node] = 1 if 2 * positives > idx.size else 0
-        pure = positives == 0 or positives == idx.size
-        if depth >= max_depth or idx.size < min_samples_split or pure:
-            continue
-        candidates = feature_sampler() if feature_sampler is not None else all_features
-        split = _best_split(X[np.ix_(idx, candidates)], labels_here)
-        if split is None:
-            continue
-        local_j, thr = split
-        feature[node] = int(candidates[local_j])
-        threshold[node] = thr
-        go_left = X[idx, feature[node]] <= thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((right[node], idx[~go_left], depth + 1))
-        stack.append((left[node], idx[go_left], depth + 1))
+class _Nodes:
+    """Node arrays of one growing tree; new_node appends a leaf."""
 
-    return TreeState(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        label=np.array(label, dtype=np.int64),
-    )
+    def __init__(self):
+        self.feature, self.threshold, self.left, self.right, self.label = [], [], [], [], []
+
+    def new_node(self) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.label.append(0)
+        return len(self.feature) - 1
+
+    def state(self) -> TreeState:
+        return TreeState(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=float),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            label=np.array(self.label, dtype=np.int64),
+        )
+
+
+class TreeBuilder:
+    """Grows trees on one training set: finite features X and 0/1 labels y.
+    The dense ranks of X are computed once here and shared by every tree
+    grown from this builder."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: int):
+        self.X = X
+        self.y = y
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        # Dense ranks by column: equal values share a rank, and rank r of
+        # column f stands for values[value_start[f] + r], the r-th smallest
+        # distinct value of f. ranked_labels[f * n + i] is 2 * (rank of row
+        # i in column f) + y[i], the low part of a sort key.
+        order = np.argsort(X, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(X, order, axis=0)
+        new = np.ones(X.shape, dtype=bool)
+        new[1:] = sorted_vals[1:] != sorted_vals[:-1]
+        distinct = new.sum(axis=0)
+        self.levels = int(distinct.max())
+        ranked = np.empty(X.shape, dtype=np.min_scalar_type(2 * self.levels))
+        np.put_along_axis(ranked, order, 2 * (np.cumsum(new, axis=0) - 1), axis=0)
+        ranked += y.astype(ranked.dtype)[:, np.newaxis]
+        self.ranked_labels = ranked.T.ravel()
+        self.values = sorted_vals.T[new.T]
+        self.value_start = np.concatenate(([0], np.cumsum(distinct)[:-1]))
+
+    def grow(self, roots: list[np.ndarray], samplers=None) -> list[TreeState]:
+        """Grow one tree per root, in lockstep. roots[t] holds the rows of X
+        that tree t is grown on, repeats allowed (a bootstrap). samplers[t],
+        when given, returns the sorted candidate features for one split
+        attempt of tree t; None means all features at every split."""
+        all_features = np.arange(self.X.shape[1])
+        trees = [_Nodes() for _ in roots]
+        # Stack entries are (node id, rows, depth, positive rows). A child
+        # can be empty: when two distinct values are adjacent floats, their
+        # midpoint can round to the upper one, and every row goes left.
+        stacks = [
+            [(tree.new_node(), rows, 0, int(self.y[rows].sum()))]
+            for tree, rows in zip(trees, map(np.asarray, roots))
+        ]
+        while True:
+            # Pop from every tree until it reaches a node to split. Leaves draw
+            # no candidates and create no nodes, so settling them first keeps
+            # each tree's own order.
+            searched = []
+            for t, stack in enumerate(stacks):
+                while stack:
+                    node, rows, depth, pos = stack.pop()
+                    k = rows.size
+                    trees[t].label[node] = 1 if 2 * pos > k else 0
+                    if depth >= self.max_depth or k < self.min_samples_split or pos in (0, k):
+                        continue
+                    candidates = samplers[t]() if samplers is not None else all_features
+                    searched.append((t, node, rows, depth, pos, candidates))
+                    break
+            if not searched:
+                break
+            # Score the popped nodes in blocks of under _BLOCK_CELLS (rows x
+            # candidates) cells; a node with more cells is a block of its own.
+            blocks, cells = [[]], 0
+            for entry in searched:
+                size = entry[2].size * entry[5].size
+                if blocks[-1] and cells + size >= _BLOCK_CELLS:
+                    blocks.append([])
+                    cells = 0
+                blocks[-1].append(entry)
+                cells += size
+            for block in blocks:
+                picked, features, thresholds = self._best_splits(
+                    np.concatenate([rows for _, _, rows, _, _, _ in block]),
+                    np.array([rows.size for _, _, rows, _, _, _ in block]),
+                    np.array([pos for _, _, _, _, pos, _ in block]),
+                    np.array([candidates for _, _, _, _, _, candidates in block]),
+                )
+                for b, f, thr in zip(picked.tolist(), features.tolist(), thresholds.tolist()):
+                    t, node, rows, depth, pos, _ = block[b]
+                    tree = trees[t]
+                    tree.feature[node] = f
+                    tree.threshold[node] = thr
+                    tree.left[node] = tree.new_node()
+                    tree.right[node] = tree.new_node()
+                    go_left = self.X[rows, f] <= thr
+                    left, right = rows[go_left], rows[~go_left]
+                    left_pos = int(self.y[left].sum())
+                    stacks[t].append((tree.right[node], right, depth + 1, pos - left_pos))
+                    stacks[t].append((tree.left[node], left, depth + 1, left_pos))
+        return [tree.state() for tree in trees]
+
+    def _best_splits(self, rows, sizes, positives, candidates):
+        """Lowest weighted child Gini split of each node, over all candidate
+        (feature, midpoint) splits. rows holds the nodes' rows one node after
+        another, sizes and positives their row and positive-label counts, and
+        candidates (nodes x c) their sorted candidate features. Returns (node
+        indices, features, thresholds) for the nodes that have a split; a
+        node whose candidate columns are all constant has none."""
+        n_nodes, c = candidates.shape
+        levels = self.levels
+        # Column i = node * c + j holds the values of candidate j of a node.
+        column_size = sizes.repeat(c)
+        column_start = np.add.accumulate(column_size) - column_size
+        # One key per (candidate, row) cell: (column, value rank, label), in
+        # the smallest unsigned type that holds it. Sorting the keys groups
+        # each column with its values ascending; equal keys are
+        # interchangeable, so the sort need not be stable.
+        dtype = np.min_scalar_type(2 * n_nodes * c * levels)
+        column_key = np.arange(n_nodes * c, dtype=dtype).reshape(n_nodes, c).T * (2 * levels)
+        cells = column_key.repeat(sizes, axis=1)
+        cells += self.ranked_labels[(candidates.T * self.X.shape[0]).repeat(sizes, axis=1) + rows]
+        cells = cells.ravel()
+        cells.sort()
+        positives_before = np.zeros(cells.size + 1)
+        np.add.accumulate(cells & 1, dtype=float, out=positives_before[1:])
+        cells >>= 1
+
+        # A value boundary lies between two adjacent sorted cells of one
+        # column whose values differ. Boundaries come sorted by column, and
+        # column i holds per_column[i] of them.
+        changed = cells[1:] != cells[:-1]
+        changed[column_start[1:] - 1] = False
+        bound = changed.nonzero()[0] + 1
+        if bound.size == 0:
+            return bound, bound, np.empty(0)
+        column_first = np.searchsorted(bound, column_start)
+        per_column = np.append(column_first[1:], bound.size) - column_first
+        start = column_start.repeat(per_column)
+        left_count = bound - start
+
+        k = column_size.astype(float).repeat(per_column)
+        left_n = left_count.astype(float)
+        right_n = k - left_n
+        left_pos = positives_before[bound] - positives_before[start]
+        right_pos = positives.astype(float).repeat(c).repeat(per_column) - left_pos
+        p_left = left_pos / left_n
+        p_right = right_pos / right_n
+        weighted = (
+            left_n * (2.0 * p_left * (1.0 - p_left))
+            + right_n * (2.0 * p_right * (1.0 - p_right))
+        ) / k
+
+        # In each node take the lowest score, and among equal scores the
+        # smallest (left count, candidate).
+        per_node = per_column.reshape(n_nodes, c).sum(axis=1)
+        lowest = np.minimum.reduceat(weighted, column_first[::c][per_node > 0])
+        tied = (weighted == lowest.repeat(per_node[per_node > 0])).nonzero()[0]
+        column = np.searchsorted(column_first, tied, side="right") - 1
+        node = column // c
+        tie = left_count[tied] * (n_nodes * c) + column
+        first_tie = np.full(n_nodes, _NOT_LOWEST)
+        np.minimum.at(first_tie, node, tie)
+        chosen = tie == first_tie[node]
+
+        at, column, node = bound[tied[chosen]], column[chosen], node[chosen]
+        features = candidates.ravel()[column]
+        start = self.value_start[features] - column * levels
+        lower = self.values[start + cells[at - 1]]
+        upper = self.values[start + cells[at]]
+        return node, features, (lower + upper) / 2.0
 
 
 def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> TreeState:
-    return build_tree(X, y, hp["max_depth"], hp["min_samples_split"])
+    builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
+    return builder.grow([np.arange(X.shape[0])])[0]

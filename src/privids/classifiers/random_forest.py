@@ -3,6 +3,12 @@
 Each tree sees a seeded bootstrap of the rows and, at every split attempt,
 ceil(sqrt(m)) candidate features drawn without replacement. Tree seeds are
 spawned from the forest seed, so results do not depend on fit order.
+
+All trees are grown together by one decision_tree.TreeBuilder, in lockstep.
+Each tree draws its bootstrap and its candidates from its own generator, in
+its own depth-first order, so the trees equal trees grown one at a time. The
+fit runs in the calling process, so train_time_s is still the time of a
+single-process fit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision_tree import TreeState, build_tree
+from .decision_tree import TreeBuilder, TreeState
 
 
 @dataclass(frozen=True)
@@ -29,21 +35,10 @@ class ForestState:
 def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> ForestState:
     n, m = X.shape
     n_candidates = min(math.ceil(math.sqrt(m)), m)
-    trees = []
-    for child_seed in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
-        rng = np.random.default_rng(child_seed)
-        bootstrap = rng.integers(0, n, size=n)
-
-        def sampler():
-            return np.sort(rng.choice(m, size=n_candidates, replace=False))
-
-        trees.append(
-            build_tree(
-                X[bootstrap],
-                y[bootstrap],
-                hp["max_depth"],
-                hp["min_samples_split"],
-                feature_sampler=sampler,
-            )
-        )
-    return ForestState(trees=tuple(trees))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
+    roots = [rng.integers(0, n, size=n) for rng in rngs]
+    samplers = [
+        lambda rng=rng: np.sort(rng.choice(m, size=n_candidates, replace=False)) for rng in rngs
+    ]
+    builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
+    return ForestState(trees=tuple(builder.grow(roots, samplers)))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import tree_oracle
 from privids.classifiers import ClassifierSpec, KINDS, default_hyperparameters, fit, predict
+from privids.classifiers import decision_tree, random_forest
 from privids.dataset import FeatureMatrix, LabelVector
 from privids.errors import DataValidationError
 
@@ -156,6 +160,75 @@ def test_forest_deterministic_for_fixed_seed():
     other_seed = ClassifierSpec("random_forest", {"n_trees": 10}, 43)
     third = fit(other_seed, X_train, y_train)
     assert third.seed != spec.seed
+
+
+def _tie_heavy(seed, n, m, distinct, shape):
+    """Seeded (X, y) with heavy ties: small-integer columns like sttl or ct_*,
+    optionally with duplicated rows, a constant column, one continuous column,
+    one column of adjacent floats (whose midpoints can round onto the upper
+    value, sending every row left), or every feature constant. Both labels
+    always occur."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, distinct, size=(n, m)).astype(float)
+    if shape == "duplicated_rows":
+        X = X[rng.integers(0, max(1, n // 4), size=n)]
+    elif shape == "constant_column":
+        X[:, rng.integers(0, m)] = 7.0
+    elif shape == "continuous_column":
+        X[:, 0] = rng.normal(size=n)
+    elif shape == "adjacent_floats":
+        X[:, 0] = 1.0 + np.spacing(1.0) * rng.integers(1, 4, size=n)
+    elif shape == "all_constant":
+        X[:] = 3.0
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+def _assert_same_tree(got, want):
+    for name in ("feature", "threshold", "left", "right", "label"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_SHAPES = (
+    "small_ints", "duplicated_rows", "constant_column", "continuous_column", "adjacent_floats",
+    "all_constant",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 90),
+    m=st.integers(1, 9),
+    distinct=st.integers(1, 5),
+    shape=st.sampled_from(_SHAPES),
+    max_depth=st.integers(1, 12),
+    min_samples_split=st.integers(2, 6),
+    n_trees=st.integers(1, 6),
+)
+# 15 roots of 1,200 rows x 4 candidates: the first round needs two blocks.
+@example(seed=1, n=1200, m=16, distinct=5, shape="continuous_column",
+         max_depth=4, min_samples_split=2, n_trees=15)
+# 2,000 rows x 40 candidates: the single tree's root is a block of its own,
+# and its sort keys need more than 16 bits.
+@example(seed=2, n=2000, m=40, distinct=3, shape="continuous_column",
+         max_depth=4, min_samples_split=2, n_trees=1)
+def test_lockstep_trees_match_per_node_oracle(
+    seed, n, m, distinct, shape, max_depth, min_samples_split, n_trees
+):
+    X, y = _tie_heavy(seed, n, m, distinct, shape)
+    hp = {"max_depth": max_depth, "min_samples_split": min_samples_split, "n_trees": n_trees}
+    _assert_same_tree(
+        decision_tree.train(X, y, hp, seed),
+        tree_oracle.build_tree(X, y, max_depth, min_samples_split),
+    )
+    got = random_forest.train(X, y, hp, seed).trees
+    want = tree_oracle.train_forest(X, y, hp, seed).trees
+    assert len(got) == len(want) == n_trees
+    for a, b in zip(got, want):
+        _assert_same_tree(a, b)
 
 
 def test_all_kinds_deterministic_across_refits():

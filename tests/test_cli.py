@@ -128,12 +128,18 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         # numpy's generators reject a negative seed with a bare ValueError
         ("split.seed", {"split": {"seed": -1}}),
         ("classifiers[0].seed", {"classifiers": [{"kind": "knn", "seed": -1}]}),
+        # names of mixed types cannot be sorted by value
+        (
+            "classifiers[0]: knn: unknown hyperparameters ['x', 1]",
+            {"classifiers": [{"kind": "knn", "hyperparameters": {1: 2, "x": 3}}]},
+        ),
     ],
     ids=["pcc_threshold-str", "pcc_threshold-bool", "timing_repeats-bool", "split_seed-bool",
          "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int", "split_seed-float",
          "timing_repeats-float", "classifier_seed-float", "configurations-str",
          "label_column-list", "category_column-int", "drop_columns-int-list", "path-null",
-         "output_dir-list", "split_seed-negative", "classifier_seed-negative"],
+         "output_dir-list", "split_seed-negative", "classifier_seed-negative",
+         "hyperparameters-mixed-keys"],
 )
 def test_non_numeric_config_scalar_exits_1(
     tmp_path, small_csv, capsys, monkeypatch, key, overrides
