@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cached_property
 from pathlib import Path
 
@@ -58,15 +58,19 @@ DISTORTED_TAGS = ("lsm_only", "pcc_lsm")
 def _replacing(path: Path):
     """A text file to write in place of path: it is written beside path and
     renamed over it only when the block completes, so path is never left
-    half written; on an exception the partial file is removed."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    half written; on an exception the partial file is removed, and an OSError
+    (an output directory that is a file, say) becomes a one-line ConfigError."""
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(partial, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(FileNotFoundError, NotADirectoryError):
+            partial.unlink()
+        if isinstance(exc, OSError) and not isinstance(exc, FileNotFoundError):
+            raise ConfigError(f"{path}: cannot write: {exc}") from None
         raise
 
 
@@ -91,6 +95,25 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return path
+
+
+# Cells per block of rows that _write_matrix converts and writes at once.
+_MATRIX_BLOCK_CELLS = 1 << 16
+
+
+def _write_matrix(path: Path, matrix: FeatureMatrix) -> Path:
+    """Write matrix as the bytes _write_csv would: the header through
+    csv.writer, then the body in blocks of rows, one tolist() and one write
+    per block. A float repr never holds a character csv would quote, and
+    FeatureMatrix entries are finite."""
+    values = matrix.values
+    block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
+    with _replacing(path) as fh:
+        csv.writer(fh).writerow(matrix.column_names)
+        for start in range(0, matrix.n, block):
+            rows = values[start : start + block].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
     return path
 
 
@@ -227,11 +250,6 @@ def _privacy_payload(tag: str, report) -> dict:
     }
 
 
-def _matrix_rows(matrix: FeatureMatrix):
-    for row in matrix.values:
-        yield [float(v) for v in row]
-
-
 def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the correlation matrix, the selection report, and the ranking."""
     out = Path(config.output_dir)
@@ -241,10 +259,7 @@ def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Pat
         _write_csv(
             out / "correlation_matrix.csv",
             ["feature", *C.column_names],
-            (
-                [C.column_names[i], *[float(v) for v in C.values[i]]]
-                for i in range(C.m)
-            ),
+            ([name, *row] for name, row in zip(C.column_names, C.values.tolist())),
         ),
         _write_json(out / "selection_report.json", _selection_payload(report)),
         _write_csv(
@@ -270,11 +285,7 @@ def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Pa
     for tag in tags:
         distorted, model, elapsed = stages.distorted(tag)
         written.append(
-            _write_csv(
-                out / f"distorted_{tag}.csv",
-                list(distorted.column_names),
-                _matrix_rows(distorted),
-            )
+            _write_matrix(out / f"distorted_{tag}.csv", distorted)
         )
         written.append(
             _write_json(out / f"distortion_model_{tag}.json", _model_payload(model))

@@ -1,19 +1,25 @@
 import csv
+import errno
 import hashlib
 import json
 import typing
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import writer_oracle
 from privids import cli
 from privids.classifiers import KINDS, default_hyperparameters
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
 from privids.config import DEFAULT_SEED, SCHEMA, load_config
+from privids.dataset import FeatureMatrix
 from privids.errors import ConfigError
 
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "unsw.yaml"
@@ -207,12 +213,29 @@ def test_shipped_config_documents_every_key_with_its_default():
     load_config(SHIPPED_CONFIG)
 
 
-def test_failed_write_leaves_previous_file(tmp_path):
+class _FullDisk:
+    """A text file whose writes fail with ENOSPC after the first few."""
+
+    def __init__(self, fh, ok_writes):
+        self.fh = fh
+        self.ok_writes = ok_writes
+        self.written = []
+
+    def write(self, text):
+        if len(self.written) == self.ok_writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written.append(text)
+        return self.fh.write(text)
+
+
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "report.json"
+    matrix_path = tmp_path / "distorted.csv"
     cli._write_csv(csv_path, ["a"], [[1]])
     cli._write_json(json_path, {"a": 1})
-    before = {p: p.read_bytes() for p in (csv_path, json_path)}
+    cli._write_matrix(matrix_path, FeatureMatrix(np.ones((3, 2)), ("a", "b")))
+    before = {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)}
 
     def rows():
         yield [2]
@@ -222,8 +245,97 @@ def test_failed_write_leaves_previous_file(tmp_path):
         cli._write_csv(csv_path, ["a"], rows())
     with pytest.raises(TypeError):
         cli._write_json(json_path, {"a": 2, "b": object()})
-    assert {p: p.read_bytes() for p in (csv_path, json_path)} == before
+
+    # the disk fills after the header and the first of four 3-row blocks
+    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
+    replacing = cli._replacing
+    files = []
+
+    @contextmanager
+    def full_disk(target):
+        with replacing(target) as fh:
+            files.append(_FullDisk(fh, ok_writes=2))
+            yield files[-1]
+
+    monkeypatch.setattr(cli, "_replacing", full_disk)
+    with pytest.raises(ConfigError, match="distorted.csv: cannot write: .*No space left"):
+        cli._write_matrix(matrix_path, FeatureMatrix(np.arange(20.0).reshape(10, 2), ("a", "b")))
+    assert files[0].written[1] == "0.0,1.0\r\n2.0,3.0\r\n4.0,5.0\r\n"
+
+    assert {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)} == before
     assert sorted(tmp_path.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("blocker", ["file", "file/sub"])
+def test_unwritable_output_exits_1(tmp_path, small_csv, capsys, blocker):
+    (tmp_path / "file").write_text("not a directory\n")
+    config_path = _config_file(tmp_path, small_csv, configurations=["lsm_only"])
+    output = tmp_path / blocker
+    assert main(["distort", "--config", str(config_path), "--output", str(output)]) == 1
+    err = _assert_one_line_error(capsys)
+    assert err.startswith(f"error: {output / 'distorted_lsm_only.csv'}: cannot write: ")
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+# Floats where repr changes form or precision: signed zero, subnormals, the
+# switch to exponent form at 1e16 and 1e-4, and the extreme exponents.
+_EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    9999999999999998.0,
+    1e16,
+    1.0000000000000002e16,
+    -1e16,
+    0.0001,
+    9.999999999999999e-05,
+    0.00010000000000000002,
+    -0.0001,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-300,
+    0.1,
+    1 / 3,
+]
+_HEADER_NAMES = st.text(alphabet=["a", "Z", "1", ",", '"', "\r", "\n", " ", "_"], max_size=5)
+
+
+@st.composite
+def _matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 70))
+    cell = st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    values = draw(hnp.arrays(np.float64, (n, m), elements=cell))
+    names = draw(st.lists(_HEADER_NAMES, min_size=m, max_size=m, unique=True))
+    return FeatureMatrix(values, tuple(names))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=_matrices())
+@example(matrix=FeatureMatrix(np.array(_EDGE_FLOATS[:18]).reshape(9, 2), ("a,b", ' "q"')))
+@example(matrix=FeatureMatrix(np.array([[1e16, -0.0, 5e-324]]), ("cr\r", "lf\n", " lead")))
+@example(matrix=FeatureMatrix(np.zeros((0, 1)), ("",)))
+def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, matrix):
+    out = tmp_path_factory.getbasetemp()
+    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
+    cli._write_matrix(out / "fast.csv", matrix)
+    writer_oracle.write_matrix(out / "oracle.csv", matrix)
+    assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+def test_distort_writes_oracle_bytes(tmp_path, small_csv):
+    config_path = _config_file(tmp_path, small_csv, configurations=["lsm_only", "pcc_lsm"])
+    assert main(["distort", "--config", str(config_path)]) == 0
+    stages = cli.Stages(load_config(config_path))
+    for tag in ("lsm_only", "pcc_lsm"):
+        oracle = writer_oracle.write_matrix(tmp_path / f"oracle_{tag}.csv", stages.distorted(tag)[0])
+        assert (tmp_path / "out" / f"distorted_{tag}.csv").read_bytes() == oracle.read_bytes()
 
 
 def test_scalar_drop_columns_rejected(tmp_path, small_csv):
