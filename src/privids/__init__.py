@@ -7,10 +7,8 @@ distortion, privacy measurement, and a five-classifier evaluation harness.
 __version__ = "0.1.0"
 
 from .dataset import (
-    EncodingMap,
     FeatureMatrix,
     LabelVector,
-    RawRecordTable,
     load_csv,
     prepare,
     stratified_sample,
@@ -35,10 +33,8 @@ from .privacy_metrics import (
 )
 
 __all__ = [
-    "EncodingMap",
     "FeatureMatrix",
     "LabelVector",
-    "RawRecordTable",
     "load_csv",
     "prepare",
     "stratified_sample",

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from contextlib import contextmanager, suppress
 from functools import cached_property
 from pathlib import Path
@@ -148,7 +147,7 @@ class Stages:
         config = self.config
         if config.sha256:
             _verify_sha256(config.dataset_path, config.sha256)
-        X, y, _ = prepare(
+        X, y = prepare(
             load_csv(config.dataset_path),
             drop_columns=config.drop_columns,
             label_column=config.label_column,
@@ -457,9 +456,9 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
             ("distort", cmd_distort),
             ("evaluate", cmd_evaluate),
         ):
-            start = time.perf_counter()
-            written.extend(stage(config, stages))
-            manifest["stage_times_s"][stage_name] = time.perf_counter() - start
+            paths, elapsed = evaluation.median_time(lambda: stage(config, stages), 1)
+            written.extend(paths)
+            manifest["stage_times_s"][stage_name] = elapsed
     except BaseException as exc:
         manifest["status"] = "incomplete"
         manifest["error"] = f"{type(exc).__name__}: {exc}"

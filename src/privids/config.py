@@ -9,6 +9,7 @@ nesting level.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -101,6 +102,8 @@ class PipelineConfig:
             raise ConfigError(f"selection.pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"split.test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.sha256 is not None and not re.fullmatch("[0-9a-fA-F]{64}", self.sha256):
+            raise ConfigError(f"dataset.sha256 must be 64 hexadecimal digits, got {self.sha256!r}")
         if self.sample_rows is not None and self.sample_rows < 1:
             raise ConfigError(f"sample.rows must be a positive integer, got {self.sample_rows}")
         if self.timing_repeats < 1:

@@ -1,42 +1,25 @@
 """CSV ingestion for flow-record datasets.
 
-Parses an RFC-4180-style CSV with a header row, integer-encodes nominal
-columns in first-appearance order, extracts the binary label, and produces a
-dense float matrix. All returned objects are immutable after construction and
-safe to share across threads.
+load_csv checks a CSV file's header and hands out its data rows in chunks of
+at most _CHUNK_ROWS; prepare parses each chunk straight into per-column
+arrays, so no more than one chunk of the file is ever held as text. Nominal
+columns are integer-encoded in first-appearance order, the binary label is
+parsed strictly, and the result is a dense float matrix. All returned objects
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, DataValidationError
 
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class RawRecordTable:
-    """Raw CSV contents: header names plus string rows, before any cleaning."""
-
-    header: tuple[str, ...]
-    rows: list[list[str]]
-    source_path: str
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.header)
+# Data rows that load_csv's chunks hold at a time.
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -61,8 +44,11 @@ class FeatureMatrix:
             raise DataValidationError(
                 f"non-finite entry at row {bad[0]}, column '{self.column_names[bad[1]]}'"
             )
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not vals.flags.owndata:
+            # a copy, so that no other reference can change the matrix; a
+            # read-only array that owns its data needs none
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
@@ -97,128 +83,134 @@ class LabelVector:
         if vals.size and not np.all((vals == 0) | (vals == 1)):
             bad = int(np.argwhere((vals != 0) & (vals != 1))[0][0])
             raise DataValidationError(f"label at row {bad} is {vals[bad]!r}, expected 0 or 1")
-        object.__setattr__(self, "values", _frozen_array(vals, np.int64))
+        vals = np.array(vals, dtype=np.int64)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class EncodingMap:
-    """Per-column mapping of nominal string values to first-appearance integers."""
+def load_csv(path) -> tuple[tuple[str, ...], Iterator[list[list[str]]]]:
+    """Open a CSV file with a header row and return (header, chunks): chunks
+    yields the data rows in lists of at most _CHUNK_ROWS.
 
-    by_column: dict[str, dict[str, int]] = field(default_factory=dict)
+    Raises DataFormatError for an empty file or duplicate header names now,
+    and as chunks are read for a row with the wrong field count or that csv
+    cannot parse (a field over csv.field_size_limit(), say), naming its
+    1-based data row, or for a file that is not UTF-8 text."""
+    reader = _read(path)
+    return next(reader), reader
 
-    def decode(self, column: str, codes) -> list[str]:
-        """Inverse lookup; round-trips any column encoded by prepare()."""
-        inverse = {v: k for k, v in self.by_column[column].items()}
-        return [inverse[int(c)] for c in codes]
 
-
-def load_csv(path, schema="infer") -> RawRecordTable:
-    """Read a CSV file with a header row into a RawRecordTable.
-
-    schema may be "infer" or an explicit list of expected column names.
-    Raises DataFormatError for an empty file, duplicate header names, a
-    schema mismatch, or any row whose field count differs from the header
-    (the offending 1-based data row number is reported), and for a path
-    that exists but cannot be read as UTF-8 text.
-    """
+def _read(path):
+    """load_csv's reader: yields the checked header, then the chunks."""
+    header = None
+    i = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
+            names = next(reader, None)
+            if names is None:
+                raise DataFormatError(f"{path}: file is empty")
+            header = tuple(h.strip() for h in names)
             if len(set(header)) != len(header):
                 dupes = sorted({h for h in header if header.count(h) > 1})
                 raise DataFormatError(f"{path}: duplicate header names {dupes}")
-            if schema != "infer" and list(schema) != header:
-                raise DataFormatError(
-                    f"{path}: header {header} does not match expected schema {list(schema)}"
-                )
-            rows = []
+            yield header
+            chunk = []
             for i, row in enumerate(reader, start=1):
                 if len(row) != len(header):
                     raise DataFormatError(
                         f"{path}: ragged row {i}: {len(row)} fields, expected {len(header)}"
                     )
-                rows.append(row)
+                chunk.append(row)
+                if len(chunk) == _CHUNK_ROWS:
+                    yield chunk
+                    chunk = []
+            if chunk:
+                yield chunk
     except FileNotFoundError:
         raise
+    except csv.Error as exc:
+        where = "header" if header is None else f"row {i + 1}"
+        raise DataFormatError(f"{path}: {where}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
-    return RawRecordTable(header=tuple(header), rows=rows, source_path=str(path))
 
 
-def _parse_label_column(raw: list[str]) -> np.ndarray:
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, s in enumerate(raw):
-        s = s.strip()
-        if s == "0":
-            out[i] = 0
-        elif s == "1":
-            out[i] = 1
-        else:
-            raise DataValidationError(f"label at row {i + 1} is {s!r}, expected 0 or 1")
-    return out
+class _Column:
+    """One feature column, parsed chunk by chunk: numeric when every cell
+    parses as a float, nominal (first-appearance codes) when none does. A
+    column mixing numeric and non-numeric cells is a hard error, and so is a
+    non-finite number: silently dropping rows would corrupt every downstream
+    row count. The first bad cells are kept with their rows and reported by
+    check() after the last chunk, so a mix that spans chunks names the same
+    cell as a parse of the whole column would."""
 
+    def __init__(self, name: str):
+        self.name = name
+        self.encoding: dict[str, int] = {}
+        self.any_number = False
+        self.not_a_number = None  # the error naming the first cell that is not a number
+        self.nonfinite = None  # the error naming the first non-finite number
 
-def _parse_feature_column(name: str, raw: list[str]):
-    """Return (float array, None) for a numeric column or (codes, encoding)
-    for a nominal one. A column mixing numeric and non-numeric cells is a hard
-    error: silently dropping rows would corrupt every downstream row count.
-
-    numpy parses each cell as float() does, so a numeric column takes one
-    vectorised pass; a column with an unparseable cell is scanned per cell."""
-    try:
-        values = np.asarray(raw, dtype=float)
-    except ValueError:
-        pass
-    else:
-        nonfinite = np.flatnonzero(~np.isfinite(values))
-        if nonfinite.size:
-            i = int(nonfinite[0])
-            raise DataValidationError(
-                f"column '{name}', row {i + 1}: non-finite value {raw[i]!r}"
-            )
-        return values, None
-    parses = []
-    for s in raw:
+    def add(self, cells, first_row: int) -> np.ndarray:
+        """The chunk's numbers, or its codes if a cell is not a number;
+        first_row is the 1-based data row of cells[0]."""
         try:
-            float(s)
+            # numpy parses each cell as float() does
+            values = np.asarray(cells, dtype=float)
         except ValueError:
-            parses.append(False)
+            pass
         else:
-            parses.append(True)
-    if any(parses):
-        i = parses.index(False)
-        raise DataValidationError(
-            f"column '{name}', row {i + 1}: cannot parse {raw[i]!r} as a number"
-        )
-    encoding: dict[str, int] = {}
-    codes = np.array([encoding.setdefault(s, len(encoding)) for s in raw], dtype=float)
-    return codes, encoding
+            self.any_number = True
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size and self.nonfinite is None:
+                row, s = first_row + int(bad[0]), cells[bad[0]]
+                self.nonfinite = f"row {row}: non-finite value {s!r}"
+            return values
+        for row, s in enumerate(cells, start=first_row):
+            try:
+                float(s)
+            except ValueError:
+                if self.not_a_number is None:
+                    self.not_a_number = f"row {row}: cannot parse {s!r} as a number"
+            else:
+                self.any_number = True
+        codes = self.encoding
+        return np.array([codes.setdefault(s, len(codes)) for s in cells], dtype=float)
+
+    def check(self):
+        """Raise DataValidationError for a column that mixes numbers and
+        text, or for a numeric column with a non-finite number."""
+        error = self.not_a_number or self.nonfinite
+        if self.any_number and error:
+            raise DataValidationError(f"column '{self.name}', {error}")
+
+
+_LABELS = {"0": 0, "1": 1}
 
 
 def prepare(
-    table: RawRecordTable,
+    ingest: tuple[tuple[str, ...], Iterator[list[list[str]]]],
     drop_columns: list[str],
     label_column: str,
     category_column: str | None = None,
     min_max_scale: bool = False,
-) -> tuple[FeatureMatrix, LabelVector, EncodingMap]:
-    """Turn a raw table into (FeatureMatrix, LabelVector, EncodingMap).
+) -> tuple[FeatureMatrix, LabelVector]:
+    """Parse load_csv's (header, chunks) into (FeatureMatrix, LabelVector).
 
-    Drops identifier-like columns and the attack-category column, extracts the
-    binary label, and encodes nominal columns as first-appearance integers
-    starting at 0. Optional min-max scaling maps each column to [0, 1]; it is
+    Drops identifier-like columns and the attack-category column, parses the
+    binary label (0 or 1 once whitespace is stripped), and encodes nominal
+    columns as first-appearance integers starting at 0. The named columns are
+    checked against the header before any row is read. A bad label is
+    reported after the last chunk, before the first bad feature column in
+    header order. Optional min-max scaling maps each column to [0, 1]; it is
     off by default and off for every acceptance run.
     """
-    header = list(table.header)
+    header, chunks = ingest
     if label_column not in header:
         raise DataValidationError(f"label column '{label_column}' not in header")
     unknown = [c for c in drop_columns if c not in header]
@@ -227,34 +219,44 @@ def prepare(
     if category_column is not None and category_column not in header:
         raise DataValidationError(f"category column '{category_column}' not in header")
 
-    removed = set(drop_columns) | {label_column}
-    if category_column is not None:
-        removed.add(category_column)
+    removed = set(drop_columns) | {label_column, category_column}
+    label_k = header.index(label_column)
+    features = [(k, _Column(name)) for k, name in enumerate(header) if name not in removed]
+    labels, blocks, bad_label, n = [], [], None, 0
+    for rows in chunks:
+        cells = list(zip(*rows))
+        for row, s in enumerate(cells[label_k], start=n + 1):
+            label = _LABELS.get(s.strip())
+            if label is None and bad_label is None:
+                bad_label = f"label at row {row} is {s.strip()!r}, expected 0 or 1"
+            labels.append(label)
+        block = np.empty((len(rows), len(features)))
+        for j, (k, column) in enumerate(features):
+            block[:, j] = column.add(cells[k], n + 1)
+        blocks.append(block)
+        n += len(rows)
+        del rows, cells  # free this chunk's text before the next one is read
+    if bad_label:
+        raise DataValidationError(bad_label)
+    for _, column in features:
+        column.check()
 
-    col_index = {name: k for k, name in enumerate(header)}
-    labels = _parse_label_column([row[col_index[label_column]] for row in table.rows])
-
-    feature_names = [c for c in header if c not in removed]
-    columns = []
-    encodings: dict[str, dict[str, int]] = {}
-    for name in feature_names:
-        k = col_index[name]
-        values, encoding = _parse_feature_column(name, [row[k] for row in table.rows])
-        if encoding is not None:
-            encodings[name] = encoding
-        columns.append(values)
-
-    values = np.column_stack(columns) if columns else np.empty((table.n, 0))
+    # each block is let go once copied, so the matrix is held about once
+    values = np.empty((n, len(features)))
+    start = 0
+    while blocks:
+        block = blocks.pop(0)
+        values[start : start + len(block)] = block
+        start += len(block)
     if min_max_scale and values.size:
         lo = values.min(axis=0)
         span = values.max(axis=0) - lo
         span[span == 0] = 1.0
         values = (values - lo) / span
-
+    values.setflags(write=False)
     return (
-        FeatureMatrix(values, tuple(feature_names)),
-        LabelVector(labels),
-        EncodingMap(encodings),
+        FeatureMatrix(values, tuple(column.name for _, column in features)),
+        LabelVector(np.array(labels, dtype=np.int64)),
     )
 
 

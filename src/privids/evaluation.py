@@ -112,8 +112,7 @@ def metrics(c: ConfusionCounts) -> MetricSet:
 def median_time(fn, repeats: int):
     """Run fn repeats times; return (last result, median wall seconds).
 
-    The one clock behind every reported time except the manifest's
-    per-stage times."""
+    The one clock behind every reported time."""
     times = []
     result = None
     for _ in range(repeats):

@@ -243,9 +243,8 @@ def test_criterion_06_unsw_selection_reproduction():
         pytest.skip("criterion 6 needs the user-supplied UNSW-NB15 training CSV "
                     "(set UNSW_NB15_TRAIN_CSV)")
     start = time.perf_counter()
-    table = load_csv(real)
-    X, _, _ = prepare(table, ["id"], "label", category_column="attack_cat")
-    assert table.n == 175_341, f"expected the 175,341-row training CSV, got {table.n}"
+    X, _ = prepare(load_csv(real), ["id"], "label", category_column="attack_cat")
+    assert X.n == 175_341, f"expected the 175,341-row training CSV, got {X.n}"
     assert X.m == 42, f"expected 42 feature columns after preparation, got {X.m}"
     selection = select_by_threshold(correlation_matrix(X), 0.85)
     dropped = set(selection.dropped_names)
@@ -266,14 +265,12 @@ def sample_10k(tmp_path_factory):
     when supplied, otherwise the synthetic surrogate. Returns (X, y, source)."""
     real = unsw_csv_path()
     if real is not None:
-        table = load_csv(real)
-        X, y, _ = prepare(table, ["id"], "label", category_column="attack_cat")
+        X, y = prepare(load_csv(real), ["id"], "label", category_column="attack_cat")
         X, y = stratified_sample(X, y, 10_000, seed=42)
         return X, y, f"UNSW-NB15 sample ({real.name})"
     path = tmp_path_factory.mktemp("acceptance") / "flows_10k.csv"
     synth_data.write_csv(path, 10_000, seed=42)
-    table = load_csv(path)
-    X, y, _ = prepare(table, ["id"], "label", category_column="attack_cat")
+    X, y = prepare(load_csv(path), ["id"], "label", category_column="attack_cat")
     return X, y, "synthetic surrogate"
 
 
@@ -372,8 +369,7 @@ def test_criterion_09_privacy_directionality_full_csv():
         pytest.skip("criterion 9 needs the user-supplied UNSW-NB15 training CSV "
                     "(set UNSW_NB15_TRAIN_CSV)")
     start = time.perf_counter()
-    table = load_csv(real)
-    X, y, _ = prepare(table, ["id"], "label", category_column="attack_cat")
+    X, y = prepare(load_csv(real), ["id"], "label", category_column="attack_cat")
     selection = select_by_threshold(correlation_matrix(X), 0.85)
     X_selected = apply_selection(X, selection)
 

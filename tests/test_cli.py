@@ -119,6 +119,8 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         # a quoted "false" is truthy, so it would turn scaling on
         ("dataset.min_max_scale", {"dataset": {"min_max_scale": "false"}}),
         ("dataset.sha256", {"dataset": {"sha256": 123}}),
+        # a malformed digest is a config fault, not a mismatch with the data
+        ("dataset.sha256 must be 64 hexadecimal digits", {"dataset": {"sha256": "nothex"}}),
         # a float must not truncate to an int
         ("split.seed", {"split": {"seed": 2.7}}),
         ("timing_repeats", {"timing_repeats": 2.9}),
@@ -141,7 +143,8 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         ),
     ],
     ids=["pcc_threshold-str", "pcc_threshold-bool", "timing_repeats-bool", "split_seed-bool",
-         "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int", "split_seed-float",
+         "sample_rows-bool", "k-bool", "min_max_scale-str", "sha256-int", "sha256-nothex",
+         "split_seed-float",
          "timing_repeats-float", "classifier_seed-float", "configurations-str",
          "label_column-list", "category_column-int", "drop_columns-int-list", "path-null",
          "output_dir-list", "split_seed-negative", "classifier_seed-negative",
@@ -390,6 +393,16 @@ def test_non_utf8_dataset_exits_2(tmp_path, capsys):
     config_path = _config_file(tmp_path, dataset)
     assert main(["select", "--config", str(config_path)]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_oversized_csv_field_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "wide.csv"
+    header = "id,a,attack_cat,label\n"
+    dataset.write_text(header + "1,2,dos,0\n2," + "9" * 200_000 + ",dos,1\n", encoding="utf-8")
+    config_path = _config_file(tmp_path, dataset)
+    assert main(["select", "--config", str(config_path)]) == 2
+    err = _assert_one_line_error(capsys)
+    assert err.startswith(f"error: {dataset}: row 2: field larger than field limit")
 
 
 def test_bad_config_exits_1(tmp_path, small_csv, capsys):

@@ -1,11 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parse_oracle
+from privids import dataset
 from privids.dataset import (
-    EncodingMap,
     FeatureMatrix,
     LabelVector,
     load_csv,
@@ -13,8 +15,11 @@ from privids.dataset import (
     stratified_sample,
     stratified_split,
 )
-from privids.dataset import _parse_feature_column
 from privids.errors import DataFormatError, DataValidationError
+
+# Chunk sizes of the oracle tests: a boundary after every row, after every
+# other row, and after every seventh, which leaves most files a short last chunk.
+CHUNK_ROWS = (1, 2, 7)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -26,17 +31,22 @@ def _write(tmp_path, text, name="data.csv"):
 WELL_FORMED = "a,b,c,label\n1,x,2.5,0\n2,y,3.5,1\n3,x,4.5,0\n"
 
 
-def test_load_csv_well_formed(tmp_path):
-    table = load_csv(_write(tmp_path, WELL_FORMED))
-    assert table.n == 3
-    assert table.m == 4
-    assert table.header == ("a", "b", "c", "label")
+def test_load_csv_well_formed(tmp_path, monkeypatch):
+    path = _write(tmp_path, WELL_FORMED)
+    header, chunks = load_csv(path)
+    assert header == ("a", "b", "c", "label")
+    assert list(chunks) == [
+        [["1", "x", "2.5", "0"], ["2", "y", "3.5", "1"], ["3", "x", "4.5", "0"]]
+    ]
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
+    assert [len(chunk) for chunk in load_csv(path)[1]] == [2, 1]
 
 
 def test_load_csv_ragged_row_names_offending_row(tmp_path):
     path = _write(tmp_path, "a,b,c,d\n1,2,3,4\n1,2,3\n")
+    _, chunks = load_csv(path)
     with pytest.raises(DataFormatError, match="row 2"):
-        load_csv(path)
+        list(chunks)
 
 
 def test_load_csv_empty_file(tmp_path):
@@ -49,38 +59,49 @@ def test_load_csv_duplicate_header(tmp_path):
         load_csv(_write(tmp_path, "a,a,b\n1,2,3\n"))
 
 
-def test_load_csv_schema_mismatch(tmp_path):
-    path = _write(tmp_path, WELL_FORMED)
-    with pytest.raises(DataFormatError, match="schema"):
-        load_csv(path, schema=["a", "b", "c", "d"])
-    table = load_csv(path, schema=["a", "b", "c", "label"])
-    assert table.n == 3
-
-
 def test_prepare_first_appearance_encoding(tmp_path):
-    table = load_csv(_write(tmp_path, "proto,label\ntcp,0\nudp,1\ntcp,0\n"))
-    X, y, enc = prepare(table, [], "label")
+    X, y = prepare(load_csv(_write(tmp_path, "proto,label\ntcp,0\nudp,1\ntcp,0\n")), [], "label")
     assert list(X.values[:, 0]) == [0.0, 1.0, 0.0]
-    assert enc.by_column["proto"] == {"tcp": 0, "udp": 1}
     assert list(y.values) == [0, 1, 0]
 
 
 def test_prepare_bad_label_names_row(tmp_path):
-    table = load_csv(_write(tmp_path, "a,label\n1,0\n2,2\n"))
+    ingest = load_csv(_write(tmp_path, "a,label\n1,0\n2,2\n"))
     with pytest.raises(DataValidationError, match="row 2"):
-        prepare(table, [], "label")
+        prepare(ingest, [], "label")
+
+
+@pytest.mark.parametrize("bad", ["1.0", "+1", "01", ""])
+def test_label_rule_across_chunks(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
+    good = "a,label\n1,0\n2, 1 \n3,0\t\n4,1\n"
+    _, y = prepare(load_csv(_write(tmp_path, good)), [], "label")
+    assert list(y.values) == [0, 1, 0, 1]
+    with pytest.raises(DataValidationError) as info:
+        prepare(load_csv(_write(tmp_path, f"{good}5,{bad}\n6,1\n")), [], "label")
+    assert str(info.value) == f"label at row 5 is {bad!r}, expected 0 or 1"
 
 
 def test_prepare_mixed_column_is_hard_error(tmp_path):
-    table = load_csv(_write(tmp_path, "a,label\n1.5,0\noops,1\n"))
+    ingest = load_csv(_write(tmp_path, "a,label\n1.5,0\noops,1\n"))
     with pytest.raises(DataValidationError, match="column 'a', row 2"):
-        prepare(table, [], "label")
+        prepare(ingest, [], "label")
 
 
 def test_prepare_rejects_nonfinite_numeric(tmp_path):
-    table = load_csv(_write(tmp_path, "a,label\n1.5,0\nNaN,1\n"))
+    ingest = load_csv(_write(tmp_path, "a,label\n1.5,0\nNaN,1\n"))
     with pytest.raises(DataValidationError, match="non-finite"):
-        prepare(table, [], "label")
+        prepare(ingest, [], "label")
+
+
+def test_missing_column_is_reported_before_a_later_ragged_row(tmp_path):
+    # prepare checks the named columns before it reads a row; the whole-file
+    # oracle read every row first
+    path = _write(tmp_path, "a,label\n1,0\n1,2,3\n")
+    with pytest.raises(DataValidationError, match="category column 'cat' not in header"):
+        prepare(load_csv(path), [], "label", category_column="cat")
+    with pytest.raises(DataFormatError, match="ragged row 2"):
+        parse_oracle.prepare(parse_oracle.load_csv(path), [], "label", category_column="cat")
 
 
 _WHITESPACE = st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003", max_size=2)
@@ -100,12 +121,25 @@ _NOMINAL = st.one_of(
 )
 
 
-def _outcome(parse, raw):
+def _oracle_outcome(raw):
     try:
-        values, encoding = parse("col", raw)
+        values, encoding = parse_oracle.parse_feature_column("col", raw)
     except DataValidationError as exc:
         return type(exc), str(exc)
     return values.dtype, values.tobytes(), None if encoding is None else list(encoding.items())
+
+
+def _chunked_outcome(raw, chunk_rows):
+    column = dataset._Column("col")
+    try:
+        parts = [
+            column.add(raw[i : i + chunk_rows], i + 1) for i in range(0, len(raw), chunk_rows)
+        ]
+        column.check()
+    except DataValidationError as exc:
+        return type(exc), str(exc)
+    values = np.concatenate([np.empty(0), *parts])
+    return values.dtype, values.tobytes(), list(column.encoding.items()) or None
 
 
 @settings(max_examples=400, deadline=None)
@@ -117,20 +151,101 @@ def _outcome(parse, raw):
     )
 )
 def test_column_parse_matches_per_cell_oracle(raw):
-    assert _outcome(_parse_feature_column, raw) == _outcome(parse_oracle.parse_feature_column, raw)
+    expected = _oracle_outcome(raw)
+    for chunk_rows in CHUNK_ROWS:
+        assert _chunked_outcome(raw, chunk_rows) == expected, chunk_rows
+
+
+_CLEAN_NUMERIC = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-999, 999).map(str)
+)
+_BAD_LABELS = st.sampled_from(["1.0", "+1", "01", "", "2", "one"])
+
+
+@st.composite
+def _csv_files(draw):
+    """(rows, drop_columns, category_column, min_max_scale) of a CSV with a
+    label, optional id and category columns, and feature columns that are
+    numeric, numeric with non-finite cells, nominal, or numeric up to a
+    drawn row and then anything, with at most one bad label and two ragged
+    rows."""
+    n = draw(st.integers(0, 16))
+    labels = st.sampled_from(["0", "1", " 1 ", "0\t"])
+    columns = {"label": draw(st.lists(labels, min_size=n, max_size=n))}
+    if n and draw(st.booleans()):
+        columns["label"][draw(st.integers(0, n - 1))] = draw(_BAD_LABELS)
+    for j in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["clean", "numeric", "nominal", "mixed", "nonfinite"]))
+        if kind == "nonfinite":
+            cells = draw(st.lists(_CLEAN_NUMERIC, min_size=n, max_size=n))
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)) if n else []:
+                cells[i] = draw(st.sampled_from(["nan", " -inf", "1e400"]))
+        elif kind == "mixed":
+            head = draw(st.integers(0, n))
+            cells = draw(st.lists(_CLEAN_NUMERIC, min_size=head, max_size=head))
+            tail = st.one_of(_NUMERIC, _NOMINAL)
+            cells += draw(st.lists(tail, min_size=n - head, max_size=n - head))
+        else:
+            cell = {"clean": _CLEAN_NUMERIC, "numeric": _NUMERIC, "nominal": _NOMINAL}[kind]
+            cells = draw(st.lists(cell, min_size=n, max_size=n))
+        columns[f"f{j}"] = cells
+    drop = ["id"] if draw(st.booleans()) else []
+    if drop:
+        columns["id"] = [str(i) for i in range(n)]
+    category = "cat" if draw(st.booleans()) else None
+    if category:
+        columns["cat"] = draw(st.lists(_NOMINAL, min_size=n, max_size=n))
+    header = draw(st.permutations(list(columns)))
+    rows = [header] + [[columns[name][i] for name in header] for i in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if n else 0):
+        row = rows[draw(st.integers(1, n))]
+        if draw(st.booleans()):
+            row.append("extra")
+        elif row:
+            row.pop()
+    return rows, drop, category, draw(st.booleans())
+
+
+def _ingest_outcome(load, prepare_fn, path, args):
+    try:
+        X, y, *_ = prepare_fn(load(path), *args)
+    except (DataFormatError, DataValidationError) as exc:
+        return type(exc), str(exc)
+    return X.column_names, X.values.shape, X.values.tobytes(), y.values.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_csv_files())
+@example(case=([["a", "label"], ["1", "0"], ["2", "1"], ["3", "0"], ["x", "1"]], [], None, False))
+@example(case=([["a", "label"], ["x", "0"], ["y", "1"], ["z", "0"], ["1", "1"]], [], None, False))
+@example(case=([["a", "label"], ["1", "0"], ["inf", "1"], ["x", "2"], ["2", "1"]], [], None, False))
+@example(case=([["a", "label"]], [], None, True))
+def test_prepare_matches_whole_file_oracle(tmp_path_factory, monkeypatch, chunk_rows, case):
+    rows, drop, category, scale = case
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    args = (drop, "label", category, scale)
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+    assert _ingest_outcome(load_csv, prepare, path, args) == _ingest_outcome(
+        parse_oracle.load_csv, parse_oracle.prepare, path, args
+    )
 
 
 def test_prepare_drops_requested_columns(tmp_path):
-    table = load_csv(_write(tmp_path, "id,a,cat,label\n1,5,dos,0\n2,6,worm,1\n3,7,dos,1\n"))
-    X, y, _ = prepare(table, ["id"], "label", category_column="cat")
+    ingest = load_csv(_write(tmp_path, "id,a,cat,label\n1,5,dos,0\n2,6,worm,1\n3,7,dos,1\n"))
+    X, y = prepare(ingest, ["id"], "label", category_column="cat")
     assert X.column_names == ("a",)
     assert X.n == 3
 
 
 def test_prepare_unknown_drop_column(tmp_path):
-    table = load_csv(_write(tmp_path, WELL_FORMED))
+    ingest = load_csv(_write(tmp_path, WELL_FORMED))
     with pytest.raises(DataValidationError, match="nope"):
-        prepare(table, ["nope"], "label")
+        prepare(ingest, ["nope"], "label")
 
 
 def test_prepare_deterministic(tmp_path):
@@ -139,35 +254,53 @@ def test_prepare_deterministic(tmp_path):
     second = prepare(load_csv(path), [], "label")
     assert np.array_equal(first[0].values, second[0].values)
     assert np.array_equal(first[1].values, second[1].values)
-    assert first[2].by_column == second[2].by_column
 
 
-def test_encoding_round_trip(tmp_path):
-    table = load_csv(_write(tmp_path, "proto,label\ntcp,0\nudp,1\narp,0\ntcp,1\n"))
-    X, _, enc = prepare(table, [], "label")
-    decoded = enc.decode("proto", X.values[:, 0])
-    assert decoded == ["tcp", "udp", "arp", "tcp"]
+def test_encoding_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
+    path = _write(tmp_path, "proto,label\ntcp,0\nudp,1\narp,0\ntcp,1\n")
+    X, _ = prepare(load_csv(path), [], "label")
+    assert list(X.values[:, 0]) == [0.0, 1.0, 2.0, 0.0]
 
 
 def test_prepare_min_max_scaling(tmp_path):
-    table = load_csv(_write(tmp_path, "a,b,label\n0,5,0\n10,5,1\n5,5,0\n"))
-    X, _, _ = prepare(table, [], "label", min_max_scale=True)
+    path = _write(tmp_path, "a,b,label\n0,5,0\n10,5,1\n5,5,0\n")
+    X, _ = prepare(load_csv(path), [], "label", min_max_scale=True)
     assert list(X.values[:, 0]) == [0.0, 1.0, 0.5]
     # constant column maps to zeros rather than dividing by zero
     assert list(X.values[:, 1]) == [0.0, 0.0, 0.0]
 
 
-def test_synthetic_csv_has_canonical_feature_count(synth_csv):
-    table = load_csv(synth_csv)
-    X, y, enc = prepare(table, ["id"], "label", category_column="attack_cat")
+def test_synthetic_csv_has_canonical_feature_count(synth_csv, monkeypatch):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 300)
+    X, y = prepare(load_csv(synth_csv), ["id"], "label", category_column="attack_cat")
+    with open(synth_csv, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
     assert X.m == 42
-    assert X.n == table.n
-    assert sorted(enc.by_column) == ["proto", "service", "state"]
+    assert X.n == len(records)
+    for j, name in enumerate(X.column_names):
+        cells = [r[name] for r in records]
+        if name in ("proto", "service", "state"):
+            codes = {}
+            expected = [codes.setdefault(s, len(codes)) for s in cells]
+        else:
+            expected = [float(s) for s in cells]
+        assert X.values[:, j].tolist() == expected, name
 
 
 def test_feature_matrix_rejects_nonfinite():
     with pytest.raises(DataValidationError, match="non-finite"):
         FeatureMatrix(np.array([[1.0, np.inf]]), ("a", "b"))
+
+
+def test_feature_matrix_copies_all_but_a_read_only_array_it_owns():
+    owned = np.ones((2, 2))
+    owned.setflags(write=False)
+    assert FeatureMatrix(owned, ("a", "b")).values is owned
+    for values in (np.ones((2, 2)), owned[:, :1]):
+        X = FeatureMatrix(values, tuple("ab"[: values.shape[1]]))
+        assert X.values is not values and X.values.base is None
+        assert not X.values.flags.writeable
 
 
 def test_feature_matrix_rejects_duplicate_names():
