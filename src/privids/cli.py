@@ -103,16 +103,27 @@ _MATRIX_BLOCK_CELLS = 1 << 16
 
 def _write_matrix(path: Path, matrix: FeatureMatrix) -> Path:
     """Write matrix as the bytes _write_csv would: the header through
-    csv.writer, then the body in blocks of rows, one tolist() and one write
-    per block. A float repr never holds a character csv would quote, and
-    FeatureMatrix entries are finite."""
-    values = matrix.values
+    csv.writer, then the body in blocks of rows with one write per block.
+    A float repr never holds a character csv would quote, and FeatureMatrix
+    entries are finite.
+
+    Within a block, each column reprs each distinct value once and scatters
+    the strings to its rows: a distorted column is an affine map of mostly
+    repeated counts and codes. Distinct means distinct bit patterns, not
+    float values, because -0.0 == 0.0 but their reprs differ. The strings
+    are held for one block, so their number follows the block, not the file."""
+    bits = matrix.values.view(np.uint64)
     block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
     with _replacing(path) as fh:
         csv.writer(fh).writerow(matrix.column_names)
         for start in range(0, matrix.n, block):
-            rows = values[start : start + block].tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+            rows = bits[start : start + block]
+            text = np.empty(rows.shape, dtype=object)
+            for j in range(matrix.m):
+                distinct, where = np.unique(rows[:, j], return_inverse=True)
+                floats = distinct.view(np.float64).tolist()
+                text[:, j] = np.array(list(map(repr, floats)), dtype=object)[where]
+            fh.write("".join([",".join(row) + "\r\n" for row in text.tolist()]))
     return path
 
 

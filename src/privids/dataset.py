@@ -249,15 +249,26 @@ def prepare(
         values[start : start + len(block)] = block
         start += len(block)
     if min_max_scale and values.size:
-        lo = values.min(axis=0)
-        span = values.max(axis=0) - lo
-        span[span == 0] = 1.0
-        values = (values - lo) / span
+        values = _min_max_scale(values)
     values.setflags(write=False)
     return (
         FeatureMatrix(values, tuple(column.name for _, column in features)),
         LabelVector(np.array(labels, dtype=np.int64)),
     )
+
+
+def _min_max_scale(values: np.ndarray) -> np.ndarray:
+    """Map each column of a non-empty matrix onto [0, 1]; a constant column
+    maps to zeros. A column whose span passes the largest float is scaled
+    with halved operands, which is exact for normal floats; every other
+    column is multiplied by 1.0 and so keeps the plain (x - lo) / span."""
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    with np.errstate(over="ignore"):
+        half = np.where(np.isinf(hi - lo), 0.5, 1.0)
+    lo, hi = lo * half, hi * half
+    span = hi - lo
+    span[span == 0] = 1.0
+    return (values * half - lo) / span
 
 
 def _per_class_test_counts(y: np.ndarray, test_fraction: float) -> dict[int, int]:

@@ -70,19 +70,20 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
     if np.any(norms == 0.0):
         dead = X.column_names[int(np.argmax(norms[1:] == 0.0))]
         raise SingularMatrixError(f"column '{dead}' is identically zero")
-    scaled_solution, _, rank, singular_values = np.linalg.lstsq(
-        design / norms, target, rcond=None
-    )
+    # scaled in place, so lstsq's own copy is the only other one while it runs
+    design /= norms
+    scaled_solution, _, rank, singular_values = np.linalg.lstsq(design, target, rcond=None)
+    del design
     needed = X.m + 1
     if rank < needed:
         smallest = float(singular_values[-1]) if singular_values.size else 0.0
         raise SingularMatrixError(
-            f"design matrix of shape {design.shape} has rank {rank} < {needed} "
+            f"design matrix of shape {(X.n, needed)} has rank {rank} < {needed} "
             f"(smallest equilibrated singular value {smallest:.3e}); "
             "remove collinear or constant columns before fitting"
         )
     solution = scaled_solution / norms
-    predicted = design @ solution
+    predicted = np.column_stack([np.ones(X.n), X.values]) @ solution
     residual = float(np.mean((target - predicted) ** 2))
     return DistortionModel(
         beta=solution[1:],

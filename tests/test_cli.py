@@ -304,16 +304,23 @@ _EDGE_FLOATS = [
     1 / 3,
 ]
 _HEADER_NAMES = st.text(alphabet=["a", "Z", "1", ",", '"', "\r", "\n", " ", "_"], max_size=5)
+_CELLS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
 
 
 @st.composite
 def _matrices(draw):
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 70))
-    cell = st.one_of(
-        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
-    )
-    values = draw(hnp.arrays(np.float64, (n, m), elements=cell))
+    if draw(st.booleans()):
+        # each column takes its cells from a pool of three, so repeated values
+        # dominate within a block and across block edges
+        pools = draw(hnp.arrays(np.float64, (3, m), elements=_CELLS))
+        picks = draw(hnp.arrays(np.intp, (n, m), elements=st.integers(0, 2)))
+        values = np.take_along_axis(pools, picks, axis=0)
+    else:
+        values = draw(hnp.arrays(np.float64, (n, m), elements=_CELLS))
     names = draw(st.lists(_HEADER_NAMES, min_size=m, max_size=m, unique=True))
     return FeatureMatrix(values, tuple(names))
 
@@ -324,6 +331,7 @@ def _matrices(draw):
 @example(matrix=FeatureMatrix(np.array(_EDGE_FLOATS[:18]).reshape(9, 2), ("a,b", ' "q"')))
 @example(matrix=FeatureMatrix(np.array([[1e16, -0.0, 5e-324]]), ("cr\r", "lf\n", " lead")))
 @example(matrix=FeatureMatrix(np.zeros((0, 1)), ("",)))
+@example(matrix=FeatureMatrix(np.array([[0.0, 1.0], [-0.0, 1.0]] * 8), ("signed zero", "one")))
 def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, matrix):
     out = tmp_path_factory.getbasetemp()
     monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)

@@ -1,9 +1,12 @@
 import csv
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import parse_oracle
 from privids import dataset
@@ -214,6 +217,19 @@ def _ingest_outcome(load, prepare_fn, path, args):
     return X.column_names, X.values.shape, X.values.tobytes(), y.values.tobytes()
 
 
+def _span_overflows(path, args):
+    """Whether the oracle parses the file and one of its columns has a
+    max - min past the largest float."""
+    try:
+        X, *_ = parse_oracle.prepare(parse_oracle.load_csv(path), *args[:3], False)
+    except (DataFormatError, DataValidationError):
+        return False
+    if not X.values.size:
+        return False
+    with np.errstate(over="ignore"):
+        return bool(np.isinf(X.values.max(axis=0) - X.values.min(axis=0)).any())
+
+
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -229,6 +245,10 @@ def test_prepare_matches_whole_file_oracle(tmp_path_factory, monkeypatch, chunk_
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     args = (drop, "label", category, scale)
+    if scale and _span_overflows(path, args):
+        # The oracle reports such a column as non-finite; the scaling that
+        # mends it is checked on its own by the two min-max tests below.
+        args = (drop, "label", category, False)
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
     assert _ingest_outcome(load_csv, prepare, path, args) == _ingest_outcome(
         parse_oracle.load_csv, parse_oracle.prepare, path, args
@@ -269,6 +289,46 @@ def test_prepare_min_max_scaling(tmp_path):
     assert list(X.values[:, 0]) == [0.0, 1.0, 0.5]
     # constant column maps to zeros rather than dividing by zero
     assert list(X.values[:, 1]) == [0.0, 0.0, 0.0]
+
+
+def test_min_max_scaling_of_a_span_past_the_largest_float(tmp_path):
+    big = sys.float_info.max
+    path = _write(tmp_path, f"a,b,label\n{big!r},0.1,0\n{-big!r},0.7,1\n0.0,0.3,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        X, _ = prepare(load_csv(path), [], "label", min_max_scale=True)
+    assert list(X.values[:, 0]) == [1.0, 0.0, 0.5]
+    b = np.array([0.1, 0.7, 0.3])
+    assert X.values[:, 1].tobytes() == ((b - 0.1) / (0.7 - 0.1)).tobytes()
+
+
+_SCALE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([sys.float_info.max, -sys.float_info.max, 5e-324, -0.0, 0.0, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=_SCALE_CELLS
+    )
+)
+def test_min_max_scale_keeps_the_plain_formula_where_the_span_is_finite(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = dataset._min_max_scale(values)
+    for j in range(values.shape[1]):
+        column = values[:, j]
+        lo, hi = column.min(), column.max()
+        with np.errstate(over="ignore"):
+            span = hi - lo
+        if np.isfinite(span):
+            expected = (column - lo) / (span if span != 0 else 1.0)
+            assert scaled[:, j].tobytes() == expected.tobytes()
+        else:
+            assert scaled[column.argmin(), j] == 0.0 and scaled[column.argmax(), j] == 1.0
+            assert ((scaled[:, j] >= 0.0) & (scaled[:, j] <= 1.0)).all()
 
 
 def test_synthetic_csv_has_canonical_feature_count(synth_csv, monkeypatch):

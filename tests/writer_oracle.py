@@ -1,5 +1,6 @@
 """The per-cell CSV writer that cmd_distort used before feature matrices were
-written in row blocks, kept unchanged as the oracle for that fast path."""
+written in row blocks, kept unchanged as the oracle for cli._write_matrix:
+blocks of rows in which each column reprs each distinct bit pattern once."""
 
 import csv
 from pathlib import Path
