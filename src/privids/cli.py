@@ -165,6 +165,8 @@ class Stages:
             category_column=config.category_column,
             min_max_scale=config.min_max_scale,
         )
+        if not X.n:
+            raise DataFormatError(f"{config.dataset_path}: header but no data rows")
         if config.sample_rows is not None:
             X, y = stratified_sample(X, y, config.sample_rows, config.sample_seed)
         return X, y

@@ -2,10 +2,15 @@
 
 load_csv checks a CSV file's header and hands out its data rows in chunks of
 at most _CHUNK_ROWS; prepare parses each chunk straight into per-column
-arrays, so no more than one chunk of the file is ever held as text. Nominal
-columns are integer-encoded in first-appearance order, the binary label is
-parsed strictly, and the result is a dense float matrix. All returned objects
-are immutable after construction and safe to share across threads.
+arrays, so no more than one chunk of the file is ever held as text. A chunk
+whose lines hold no quote is read by numpy's C parser (np.loadtxt); csv
+reads, cell by cell, a chunk that parser refuses or that has a quote, blank
+line, NUL, over-long line or wrong field count, and every later chunk once a
+quote is seen. Both give the same values, and only the cell-by-cell parse
+raises, so every message is the same. Nominal columns are integer-encoded in
+first-appearance order, the binary label is parsed strictly, and the result
+is a dense float matrix. All returned objects are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -92,9 +98,10 @@ class LabelVector:
         return self.values.shape[0]
 
 
-def load_csv(path) -> tuple[tuple[str, ...], Iterator[list[list[str]]]]:
+def load_csv(path) -> tuple[tuple[str, ...], Iterator[list]]:
     """Open a CSV file with a header row and return (header, chunks): chunks
-    yields the data rows in lists of at most _CHUNK_ROWS.
+    yields the data rows in lists of at most _CHUNK_ROWS, each either a
+    _Lines of raw text lines, one row per line, or a list of csv rows.
 
     Raises DataFormatError for an empty file or duplicate header names now,
     and as chunks are read for a row with the wrong field count or that csv
@@ -104,10 +111,33 @@ def load_csv(path) -> tuple[tuple[str, ...], Iterator[list[list[str]]]]:
     return next(reader), reader
 
 
+class _Lines(list):
+    """A chunk of data lines, line ends kept, with no quote, NUL or blank
+    line, none longer than csv.field_size_limit() and each with the header's
+    field count: csv would split each line at its commas into one row."""
+
+
 def _read(path):
     """load_csv's reader: yields the checked header, then the chunks."""
     header = None
-    i = 0
+    i = 0  # data rows read so far
+
+    def checked(rows):
+        """csv rows in chunks, each row's field count checked."""
+        nonlocal i
+        chunk = []
+        for i, row in enumerate(rows, start=i + 1):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: ragged row {i}: {len(row)} fields, expected {len(header)}"
+                )
+            chunk.append(row)
+            if len(chunk) == _CHUNK_ROWS:
+                yield chunk
+                chunk = []
+        if chunk:
+            yield chunk
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -119,18 +149,23 @@ def _read(path):
                 dupes = sorted({h for h in header if header.count(h) > 1})
                 raise DataFormatError(f"{path}: duplicate header names {dupes}")
             yield header
-            chunk = []
-            for i, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise DataFormatError(
-                        f"{path}: ragged row {i}: {len(row)} fields, expected {len(header)}"
-                    )
-                chunk.append(row)
-                if len(chunk) == _CHUNK_ROWS:
-                    yield chunk
-                    chunk = []
-            if chunk:
-                yield chunk
+            commas, limit = {len(header) - 1}, csv.field_size_limit()
+            for lines in iter(lambda: list(islice(fh, _CHUNK_ROWS)), []):
+                text = "".join(lines)
+                if '"' in text:
+                    # a quoted field can span lines, so csv reads the rest
+                    yield from checked(csv.reader(chain(lines, fh)))
+                    return
+                if (
+                    "\0" not in text
+                    and max(map(len, lines)) <= limit
+                    and {"\n", "\r", "\r\n"}.isdisjoint(lines)
+                    and set(map(str.count, lines, repeat(","))) == commas
+                ):
+                    i += len(lines)
+                    yield _Lines(lines)
+                else:
+                    yield from checked(csv.reader(lines))
     except FileNotFoundError:
         raise
     except csv.Error as exc:
@@ -138,6 +173,14 @@ def _read(path):
         raise DataFormatError(f"{path}: {where}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
+
+
+def _is_number(s: str) -> bool:
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
 
 
 class _Column:
@@ -163,24 +206,27 @@ class _Column:
             # numpy parses each cell as float() does
             values = np.asarray(cells, dtype=float)
         except ValueError:
-            pass
-        else:
-            self.any_number = True
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size and self.nonfinite is None:
-                row, s = first_row + int(bad[0]), cells[bad[0]]
-                self.nonfinite = f"row {row}: non-finite value {s!r}"
-            return values
-        for row, s in enumerate(cells, start=first_row):
-            try:
-                float(s)
-            except ValueError:
-                if self.not_a_number is None:
-                    self.not_a_number = f"row {row}: cannot parse {s!r} as a number"
-            else:
-                self.any_number = True
+            return self.encode(cells, first_row)
+        self.any_number = True
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size and self.nonfinite is None:
+            row, s = first_row + int(bad[0]), cells[bad[0]]
+            self.nonfinite = f"row {row}: non-finite value {s!r}"
+        return values
+
+    def encode(self, cells: list | tuple, first_row: int) -> np.ndarray:
+        """The codes of a chunk that is not all numbers. float() is tried once
+        per distinct cell, in first-appearance order, so the first one that
+        fails is the first such cell of the chunk."""
         codes = self.encoding
-        return np.array([codes.setdefault(s, len(codes)) for s in cells], dtype=float)
+        for s in dict.fromkeys(cells):
+            if _is_number(s):
+                self.any_number = True
+            elif self.not_a_number is None:
+                row = first_row + cells.index(s)
+                self.not_a_number = f"row {row}: cannot parse {s!r} as a number"
+            codes.setdefault(s, len(codes))
+        return np.fromiter(map(codes.__getitem__, cells), float, len(cells))
 
     def check(self):
         """Raise DataValidationError for a column that mixes numbers and
@@ -193,8 +239,55 @@ class _Column:
 _LABELS = {"0": 0, "1": 1}
 
 
+def _parse_labels(cells: list | tuple, first_row: int):
+    """(labels, None) of a chunk's label cells, or (None, the error naming
+    its first label that is not 0 or 1 once whitespace is stripped)."""
+    labels = {s: _LABELS.get(s.strip()) for s in dict.fromkeys(cells)}
+    for s, label in labels.items():
+        if label is None:
+            row = first_row + cells.index(s)
+            return None, f"label at row {row} is {s.strip()!r}, expected 0 or 1"
+    return np.fromiter(map(labels.__getitem__, cells), np.int64, len(cells)), None
+
+
+def _parse_lines(lines: _Lines, label_k: int, features, first_row: int):
+    """(labels, block) of a _Lines chunk read by numpy's C parser, or None
+    where only the cell-by-cell parse gives the exact result or message: a
+    cell that numpy cannot parse, a non-finite number, or a bad label. A
+    column is read as numbers when its cell in the chunk's first line is
+    one, and as text otherwise."""
+    first = next(csv.reader(lines[:1]))
+    text = [j for j, (k, _) in enumerate(features) if not _is_number(first[k])]
+    numeric = [j for j in range(len(features)) if j not in text]
+
+    def read(ks, dtype):
+        if not ks:
+            return np.empty((len(lines), 0), dtype)
+        return np.loadtxt(
+            lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=2, usecols=ks
+        )
+
+    try:
+        cells = read([label_k] + [features[j][0] for j in text], object)
+        numbers = read([features[j][0] for j in numeric], float)
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    labels, bad_label = _parse_labels(cells[:, 0].tolist(), first_row)
+    if bad_label:
+        return None
+    block = np.empty((len(lines), len(features)))
+    block[:, numeric] = numbers
+    for j in numeric:
+        features[j][1].any_number = True
+    for i, j in enumerate(text, start=1):
+        block[:, j] = features[j][1].encode(cells[:, i].tolist(), first_row)
+    return labels, block
+
+
 def prepare(
-    ingest: tuple[tuple[str, ...], Iterator[list[list[str]]]],
+    ingest: tuple[tuple[str, ...], Iterator[list]],
     drop_columns: list[str],
     label_column: str,
     category_column: str | None = None,
@@ -223,19 +316,22 @@ def prepare(
     label_k = header.index(label_column)
     features = [(k, _Column(name)) for k, name in enumerate(header) if name not in removed]
     labels, blocks, bad_label, n = [], [], None, 0
-    for rows in chunks:
-        cells = list(zip(*rows))
-        for row, s in enumerate(cells[label_k], start=n + 1):
-            label = _LABELS.get(s.strip())
-            if label is None and bad_label is None:
-                bad_label = f"label at row {row} is {s.strip()!r}, expected 0 or 1"
-            labels.append(label)
-        block = np.empty((len(rows), len(features)))
-        for j, (k, column) in enumerate(features):
-            block[:, j] = column.add(cells[k], n + 1)
-        blocks.append(block)
-        n += len(rows)
-        del rows, cells  # free this chunk's text before the next one is read
+    for chunk in chunks:
+        as_lines = isinstance(chunk, _Lines)
+        parsed = _parse_lines(chunk, label_k, features, n + 1) if as_lines else None
+        if parsed is None:
+            cells = list(zip(*(csv.reader(chunk) if as_lines else chunk)))
+            chunk_labels, bad = _parse_labels(cells[label_k], n + 1)
+            bad_label = bad_label or bad
+            block = np.empty((len(chunk), len(features)))
+            for j, (k, column) in enumerate(features):
+                block[:, j] = column.add(cells[k], n + 1)
+            parsed = chunk_labels, block
+            del cells  # a later chunk read by numpy does not rebind it
+        labels.append(parsed[0])
+        blocks.append(parsed[1])
+        n += len(chunk)
+        del chunk  # free this chunk's text before the next one is read
     if bad_label:
         raise DataValidationError(bad_label)
     for _, column in features:
@@ -253,7 +349,7 @@ def prepare(
     values.setflags(write=False)
     return (
         FeatureMatrix(values, tuple(column.name for _, column in features)),
-        LabelVector(np.array(labels, dtype=np.int64)),
+        LabelVector(np.concatenate([np.empty(0, np.int64), *labels])),
     )
 
 

@@ -3,7 +3,9 @@ the file in chunks of rows, kept as the oracle for the chunked path. load_csv
 reads every row into a table of strings, and prepare regathers each column
 from it and parses the column with parse_feature_column, cell by cell: the
 parser prepare used before numeric columns were parsed in one numpy pass.
-Only EncodingMap is gone: prepare returns the encodings as a plain dict."""
+Only EncodingMap is gone: prepare returns the encodings as a plain dict, and
+a csv.Error (a field over csv.field_size_limit(), say) is reported as the
+one-line DataFormatError that names the header or the 1-based data row."""
 
 import csv
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ def load_csv(path, schema="infer") -> RawRecordTable:
     (the offending 1-based data row number is reported), and for a path
     that exists but cannot be read as UTF-8 text.
     """
+    rows = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -64,6 +67,9 @@ def load_csv(path, schema="infer") -> RawRecordTable:
                 rows.append(row)
     except FileNotFoundError:
         raise
+    except csv.Error as exc:
+        where = "header" if rows is None else f"row {len(rows) + 1}"
+        raise DataFormatError(f"{path}: {where}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
     return RawRecordTable(header=tuple(header), rows=rows, source_path=str(path))

@@ -413,6 +413,15 @@ def test_oversized_csv_field_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {dataset}: row 2: field larger than field limit")
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_header_without_data_rows_exits_2(tmp_path, capsys, command):
+    dataset = tmp_path / "header_only.csv"
+    dataset.write_text("id,dur,proto,attack_cat,label\n", encoding="utf-8")
+    config_path = _config_file(tmp_path, dataset)
+    assert main([command, "--config", str(config_path)]) == 2
+    assert _assert_one_line_error(capsys) == f"error: {dataset}: header but no data rows\n"
+
+
 def test_bad_config_exits_1(tmp_path, small_csv, capsys):
     config_path = _config_file(tmp_path, small_csv, selection={"pcc_threshold": 0.0})
     assert main(["select", "--config", str(config_path)]) == 1

@@ -38,7 +38,10 @@ def test_load_csv_well_formed(tmp_path, monkeypatch):
     path = _write(tmp_path, WELL_FORMED)
     header, chunks = load_csv(path)
     assert header == ("a", "b", "c", "label")
-    assert list(chunks) == [
+    # a quote-free chunk is handed out as its lines, which csv splits into cells
+    chunks = list(chunks)
+    assert [type(chunk) for chunk in chunks] == [dataset._Lines]
+    assert [list(csv.reader(chunk)) for chunk in chunks] == [
         [["1", "x", "2.5", "0"], ["2", "y", "3.5", "1"], ["3", "x", "4.5", "0"]]
     ]
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
@@ -253,6 +256,80 @@ def test_prepare_matches_whole_file_oracle(tmp_path_factory, monkeypatch, chunk_
     assert _ingest_outcome(load_csv, prepare, path, args) == _ingest_outcome(
         parse_oracle.load_csv, parse_oracle.prepare, path, args
     )
+
+
+_RAW_CELLS = st.one_of(
+    st.text(alphabet="ab1#\0 \t\x0b\x1c\x85\u2028", min_size=1, max_size=3),
+    st.sampled_from(['"a,b"', '"x\ny"', '"1"', '""', 'a"b', "9" * 12]),
+)
+
+
+@st.composite
+def _raw_csv_files(draw):
+    """(text, drop_columns, category_column, field_size_limit) of one of
+    _csv_files' tables written as raw text, not through csv.writer. Line
+    breaks inside its cells become spaces; a few cells are replaced by ones
+    with '#', NUL, other characters a reader might treat specially, or a
+    quote; blank and whitespace-only lines are inserted; each line ends in
+    LF, CR or CRLF, the last one maybe in nothing; and sometimes the field
+    size limit is one that some cells or lines pass."""
+    rows, drop, category, _ = draw(_csv_files())
+    rows = [[cell.replace("\r", " ").replace("\n", " ") for cell in row] for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if len(rows) > 1 else 0):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_RAW_CELLS)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    line_ends = st.sampled_from(["\n", "\r", "\r\n"])
+    ends = draw(st.lists(line_ends, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, drop, category, draw(st.sampled_from([None, None, 6, 10]))
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_raw_csv_files())
+@example(case=("a,label\r\n1,0\r\n\r\n2,1\r\n", [], None, None))
+@example(case=("a,label\n1,0\n \n2,1", [], None, None))
+@example(case=("label\n0\r1\r\r0\r", [], None, None))
+@example(case=("a,label\n#1,0\nx\0,1\n", [], None, None))
+@example(case=("a,label\n1,0\n12345678,1\n", [], None, 6))
+@example(case=("a,b,label\n" + "1,x,0\n" * 8 + '2,"y\nz",1\n3,y,0\n', [], None, None))
+def test_prepare_of_raw_text_matches_whole_file_oracle(
+    tmp_path_factory, monkeypatch, chunk_rows, case
+):
+    text, drop, category, limit = case
+    path = tmp_path_factory.getbasetemp() / "raw.csv"
+    path.write_bytes(text.encode("utf-8"))
+    args = (drop, "label", category, False)
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert _ingest_outcome(load_csv, prepare, path, args) == _ingest_outcome(
+            parse_oracle.load_csv, parse_oracle.prepare, path, args
+        )
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_synthetic_csv_is_parsed_by_numpy_reader(synth_csv, monkeypatch):
+    # _Column.add is the cell-by-cell parse, called only for a chunk that
+    # numpy's reader was not given or gave up on
+    def refused(*args):
+        raise AssertionError("a chunk of the synthetic CSV fell back to csv")
+
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 300)
+    monkeypatch.setattr(dataset._Column, "add", refused)
+    X, _ = prepare(load_csv(synth_csv), ["id"], "label", category_column="attack_cat")
+    assert X.n > dataset._CHUNK_ROWS
 
 
 def test_prepare_drops_requested_columns(tmp_path):
