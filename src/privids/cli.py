@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import asdict, astuple, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -50,7 +51,7 @@ NONDETERMINISTIC_KEYS = frozenset(
     }
 )
 
-DISTORTED_TAGS = ("lsm_only", "pcc_lsm")
+DISTORTED_TAGS = tuple(t for t, (_, lsm) in evaluation.CONFIGURATIONS.items() if lsm)
 
 
 @contextmanager
@@ -181,31 +182,21 @@ class Stages:
     def selected(self) -> FeatureMatrix:
         return apply_selection(self.ingested[0], self.selection[1])
 
+    def original(self, tag: str) -> FeatureMatrix:
+        """The matrix of configuration tag before any distortion."""
+        pcc, _ = evaluation.CONFIGURATIONS[tag]
+        return self.selected if pcc else self.ingested[0]
+
     def distorted(self, tag: str):
         """(matrix, model, median wall time) of the distorted configuration;
         the fitted model and matrix are identical across the timing repeats."""
         if tag not in self._distorted:
-            X, y = self.ingested
-            if tag == "pcc_lsm":
-                X = self.selected
+            X, y = self.original(tag), self.ingested[1]
             (matrix, model), elapsed = evaluation.median_time(
                 lambda: distort(X, y), self.config.timing_repeats
             )
             self._distorted[tag] = (matrix, model, elapsed)
         return self._distorted[tag]
-
-
-def _selection_payload(report) -> dict:
-    return {
-        "threshold": report.threshold,
-        "kept": list(report.kept),
-        "dropped": [
-            {"name": d.name, "against": d.against, "coefficient": d.coefficient}
-            for d in report.dropped
-        ],
-        "ranking": [{"feature": name, "score": score} for name, score in report.ranking],
-        "constant_columns": list(report.constant_columns),
-    }
 
 
 def _model_payload(model) -> dict:
@@ -218,48 +209,14 @@ def _model_payload(model) -> dict:
 
 
 def _evaluation_payload(report, config: PipelineConfig) -> dict:
-    return {
-        "configuration": report.configuration,
-        "n_train": report.n_train,
-        "n_test": report.n_test,
-        "split": {"test_fraction": config.test_fraction, "seed": config.split_seed},
-        "classifiers": [
-            {
-                "kind": r.kind,
-                "hyperparameters": r.hyperparameters,
-                "seed": r.seed,
-                "confusion": {
-                    "tp": r.confusion.tp,
-                    "fn": r.confusion.fn,
-                    "fp": r.confusion.fp,
-                    "tn": r.confusion.tn,
-                },
-                "recall": r.metrics.recall,
-                "precision": r.metrics.precision,
-                "specificity": r.metrics.specificity,
-                "f_score": r.metrics.f_score,
-                "accuracy": r.metrics.accuracy,
-                "train_time_s": r.train_time_s,
-                "test_time_s": r.test_time_s,
-            }
-            for r in report.results
-        ],
-    }
-
-
-def _privacy_payload(tag: str, report) -> dict:
-    return {
-        "configuration": tag,
-        "vd": report.vd,
-        "rp": report.rp,
-        "rk": report.rk,
-        "cp": report.cp,
-        "ck": report.ck,
-        "rp_sum": report.rp_sum,
-        "n": report.n,
-        "m": report.m,
-        "distortion_time_s": report.distortion_time_s,
-    }
+    """The report's fields, with each classifier's metrics flattened into its
+    entry and the split that produced it."""
+    payload = asdict(report)
+    entries = payload.pop("results")
+    for entry in entries:
+        entry.update(entry.pop("metrics"))
+    split = {"test_fraction": config.test_fraction, "seed": config.split_seed}
+    return {**payload, "classifiers": entries, "split": split}
 
 
 def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
@@ -273,7 +230,10 @@ def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Pat
             ["feature", *C.column_names],
             ([name, *row] for name, row in zip(C.column_names, C.values.tolist())),
         ),
-        _write_json(out / "selection_report.json", _selection_payload(report)),
+        _write_json(
+            out / "selection_report.json",
+            {**asdict(report), "ranking": [{"feature": f, "score": v} for f, v in report.ranking]},
+        ),
         _write_csv(
             out / "pcc_ranking.csv",
             ["feature", "mean_abs_pcc"],
@@ -296,54 +256,13 @@ def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Pa
     written = []
     for tag in tags:
         distorted, model, elapsed = stages.distorted(tag)
-        written.append(
-            _write_matrix(out / f"distorted_{tag}.csv", distorted)
-        )
-        written.append(
-            _write_json(out / f"distortion_model_{tag}.json", _model_payload(model))
-        )
-        written.append(
-            _write_json(
-                out / f"distortion_timing_{tag}.json",
-                {"configuration": tag, "distortion_time_s": elapsed, "n": distorted.n, "m": distorted.m},
-            )
-        )
+        timing = {"configuration": tag, "distortion_time_s": elapsed, "n": distorted.n, "m": distorted.m}
+        written += [
+            _write_matrix(out / f"distorted_{tag}.csv", distorted),
+            _write_json(out / f"distortion_model_{tag}.json", _model_payload(model)),
+            _write_json(out / f"distortion_timing_{tag}.json", timing),
+        ]
     return written
-
-
-def _configuration_matrices(config: PipelineConfig, stages: Stages):
-    """Feature matrix and optional privacy report per requested configuration."""
-    matrices = {}
-    privacy = {}
-    for tag in config.configurations:
-        if tag == "baseline":
-            matrices[tag] = stages.ingested[0]
-        elif tag == "pcc_only":
-            matrices[tag] = stages.selected
-        else:
-            original = stages.selected if tag == "pcc_lsm" else stages.ingested[0]
-            distorted, _, elapsed = stages.distorted(tag)
-            matrices[tag] = distorted
-            privacy[tag] = privacy_report(original.values, distorted.values, elapsed)
-    return matrices, privacy
-
-
-def _run_evaluations(config: PipelineConfig, matrices, y: LabelVector):
-    reports = {}
-    for tag, matrix in matrices.items():
-        X_train, y_train, X_test, y_test = stratified_split(
-            matrix, y, config.test_fraction, config.split_seed
-        )
-        reports[tag] = evaluation.run_configuration(
-            tag,
-            X_train,
-            y_train,
-            X_test,
-            y_test,
-            config.classifier_specs,
-            timing_repeats=config.timing_repeats,
-        )
-    return reports
 
 
 def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
@@ -352,33 +271,38 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
     utility comparison against the baseline, and combined CSV summaries."""
     out = Path(config.output_dir)
     stages = stages or Stages(config)
-    matrices, privacy = _configuration_matrices(config, stages)
-    reports = _run_evaluations(config, matrices, stages.ingested[1])
-
-    written = []
+    y = stages.ingested[1]
+    reports = {}
+    privacy = {}
     for tag in config.configurations:
-        written.append(
-            _write_json(out / f"evaluation_{tag}.json", _evaluation_payload(reports[tag], config))
+        matrix = stages.original(tag)
+        if tag in DISTORTED_TAGS:
+            distorted, _, elapsed = stages.distorted(tag)
+            privacy[tag] = privacy_report(matrix.values, distorted.values, elapsed)
+            matrix = distorted
+        split = stratified_split(matrix, y, config.test_fraction, config.split_seed)
+        reports[tag] = evaluation.run_configuration(
+            tag, *split, config.classifier_specs, timing_repeats=config.timing_repeats
         )
-    for tag, p_report in privacy.items():
-        written.append(_write_json(out / f"privacy_{tag}.json", _privacy_payload(tag, p_report)))
+
+    written = [
+        _write_json(out / f"evaluation_{tag}.json", _evaluation_payload(report, config))
+        for tag, report in reports.items()
+    ]
+    written += [
+        _write_json(out / f"privacy_{tag}.json", {"configuration": tag, **asdict(p)})
+        for tag, p in privacy.items()
+    ]
 
     if "baseline" in reports:
         comparisons = []
-        for tag in config.configurations:
-            if tag == "baseline":
-                continue
-            cmp_result = evaluation.compare_utility(reports["baseline"], reports[tag])
-            comparisons.append(
-                {
-                    "configuration": tag,
-                    "deltas": [
-                        {"classifier": kind, "accuracy_delta": delta}
-                        for kind, delta in cmp_result.deltas
-                    ],
-                    "max_abs_delta": cmp_result.max_abs_delta,
-                }
-            )
+        for tag, report in reports.items():
+            if tag != "baseline":
+                result = evaluation.compare_utility(reports["baseline"], report)
+                deltas = [{"classifier": k, "accuracy_delta": d} for k, d in result.deltas]
+                comparisons.append(
+                    {"configuration": tag, "deltas": deltas, "max_abs_delta": result.max_abs_delta}
+                )
         written.append(
             _write_json(
                 out / "utility_comparison.json",
@@ -398,45 +322,16 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
             )
         )
 
-    summary_rows = []
-    for tag in config.configurations:
-        for r in reports[tag].results:
-            summary_rows.append(
-                [
-                    tag,
-                    r.kind,
-                    r.confusion.tp,
-                    r.confusion.fn,
-                    r.confusion.fp,
-                    r.confusion.tn,
-                    r.metrics.recall,
-                    r.metrics.precision,
-                    r.metrics.specificity,
-                    r.metrics.f_score,
-                    r.metrics.accuracy,
-                    r.train_time_s,
-                    r.test_time_s,
-                ]
-            )
+    header = [f.name for f in fields(evaluation.ConfusionCounts) + fields(evaluation.MetricSet)]
     written.append(
         _write_csv(
             out / "evaluation_summary.csv",
-            [
-                "configuration",
-                "classifier",
-                "tp",
-                "fn",
-                "fp",
-                "tn",
-                "recall",
-                "precision",
-                "specificity",
-                "f_score",
-                "accuracy",
-                "train_time_s",
-                "test_time_s",
-            ],
-            summary_rows,
+            ["configuration", "classifier", *header, "train_time_s", "test_time_s"],
+            (
+                [tag, r.kind, *astuple(r.confusion), *astuple(r.metrics), r.train_time_s, r.test_time_s]
+                for tag, report in reports.items()
+                for r in report.results
+            ),
         )
     )
     return written

@@ -115,6 +115,8 @@ class PipelineConfig:
                 raise ConfigError(f"{where} must be >= 0, got {seed}")
         if not self.configurations:
             raise ConfigError("configurations must name at least one configuration tag")
+        if not self.classifier_specs:
+            raise ConfigError("classifiers must name at least one classifier")
         bad_tags = [t for t in self.configurations if t not in CONFIGURATION_TAGS]
         if bad_tags:
             raise ConfigError(f"unknown configurations {bad_tags}, expected {CONFIGURATION_TAGS}")
@@ -146,6 +148,10 @@ def load_config(path) -> PipelineConfig:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     raw = _mapping(raw, "config", {section or key for section, key, *_ in SCHEMA} | {"classifiers"})
     sections = {None: raw}
     for section in dict.fromkeys(s for s, *_ in SCHEMA if s):
@@ -162,7 +168,7 @@ def load_config(path) -> PipelineConfig:
 
     entries = _typed(raw.get("classifiers"), list | None, "classifiers")
     specs = []
-    for i, entry in enumerate(entries or [{"kind": k} for k in KINDS]):
+    for i, entry in enumerate([{"kind": k} for k in KINDS] if entries is None else entries):
         where = f"classifiers[{i}]"
         entry = _mapping(entry, where, {"kind", "hyperparameters", "seed"})
         kind = _typed(entry.get("kind"), str, f"{where}.kind")

@@ -17,7 +17,15 @@ from . import classifiers
 from .dataset import FeatureMatrix, LabelVector
 from .errors import DataValidationError
 
-CONFIGURATION_TAGS = ("baseline", "pcc_only", "lsm_only", "pcc_lsm")
+# tag: (PCC-selected, LSM-distorted), the one place that says how each
+# configuration's matrix is made.
+CONFIGURATIONS = {
+    "baseline": (False, False),
+    "pcc_only": (True, False),
+    "lsm_only": (False, True),
+    "pcc_lsm": (True, True),
+}
+CONFIGURATION_TAGS = tuple(CONFIGURATIONS)
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,6 @@ class EvaluationReport:
 class UtilityComparison:
     """Per-classifier accuracy change between two reports on the same split."""
 
-    before_configuration: str
-    after_configuration: str
     deltas: tuple[tuple[str, float], ...]
     max_abs_delta: float
 
@@ -187,9 +193,4 @@ def compare_utility(before: EvaluationReport, after: EvaluationReport) -> Utilit
         for b, a in zip(before.results, after.results)
     )
     max_abs = max((abs(d) for _, d in deltas), default=0.0)
-    return UtilityComparison(
-        before_configuration=before.configuration,
-        after_configuration=after.configuration,
-        deltas=deltas,
-        max_abs_delta=max_abs,
-    )
+    return UtilityComparison(deltas=deltas, max_abs_delta=max_abs)

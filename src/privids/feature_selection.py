@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import DataValidationError, UndefinedCorrelationError
+from .errors import DataValidationError
 
 
 @dataclass(frozen=True)
@@ -53,37 +53,12 @@ class SelectionReport:
         return tuple(d.name for d in self.dropped)
 
 
-def _centered(v: np.ndarray) -> np.ndarray:
-    return v - v.mean()
-
-
-def pearson(f1, f2) -> float:
-    """Pearson correlation coefficient of two equal-length vectors.
-
-    Raises UndefinedCorrelationError when either vector is constant, which is
-    distinct from any numeric return value.
-    """
-    x = np.asarray(f1, dtype=float)
-    y = np.asarray(f2, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise DataValidationError(f"expected equal-length vectors, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        raise DataValidationError("correlation needs at least 2 observations")
-    xc = _centered(x)
-    yc = _centered(y)
-    sx = np.sqrt(xc @ xc)
-    sy = np.sqrt(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant vector")
-    return float((xc @ yc) / (sx * sy))
-
-
 def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     """Pairwise Pearson matrix of the columns of X.
 
-    Entry (i, j) equals pearson(col i, col j); the upper triangle is mirrored
-    so the result is exactly symmetric. Pairs involving a constant column are
-    NaN off the diagonal.
+    Entry (i, j) is the Pearson coefficient of columns i and j; the upper
+    triangle is mirrored so the result is exactly symmetric. Pairs involving
+    a constant column are NaN off the diagonal.
     """
     if X.n < 2:
         raise DataValidationError("correlation matrix needs at least 2 rows")

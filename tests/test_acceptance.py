@@ -17,6 +17,7 @@ import yaml
 
 import synth_data
 from conftest import unsw_csv_path
+from pearson_oracle import pearson
 from test_classifiers import gaussian_blobs, separable_set
 
 from privids.classifiers import ClassifierSpec, KINDS, fit, predict
@@ -34,7 +35,6 @@ from privids.evaluation import median_time, run_configuration
 from privids.feature_selection import (
     apply_selection,
     correlation_matrix,
-    pearson,
     select_by_threshold,
 )
 from privids.privacy_metrics import privacy_report

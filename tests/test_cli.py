@@ -79,6 +79,25 @@ def test_load_config_fills_all_five_classifiers_by_default(tmp_path, small_csv):
     ]
 
 
+def test_load_config_rejects_an_empty_classifier_list(tmp_path, small_csv):
+    # null still means all five; only an explicit empty list is an error
+    path = _config_file(tmp_path, small_csv, classifiers=None)
+    assert [s.kind for s in load_config(path).classifier_specs] == list(KINDS)
+    with pytest.raises(ConfigError, match="classifiers must name at least one classifier"):
+        load_config(_config_file(tmp_path, small_csv, classifiers=[]))
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, unreadable):
+    path = tmp_path / "config.yaml"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"dataset:\n  path: caf\xe9.csv\n")
+    assert main(["select", "--config", str(path)]) == 1
+    assert _assert_one_line_error(capsys).startswith(f"error: {path}: cannot read: ")
+
+
 def test_load_config_rejects_unknown_keys(tmp_path, small_csv):
     for overrides in ({"mystery": 1}, {"dataset": {"path": str(small_csv), "frobnicate": True}}):
         path = tmp_path / "bad.yaml"
@@ -490,6 +509,89 @@ def test_cmd_evaluate_file_contract(tmp_path, small_csv):
     }
     header = (out / "privacy_measures.csv").read_text().splitlines()[0]
     assert header == "configuration,VD,RP,RK,CP,CK,Time"
+
+
+def _key_paths(obj, prefix=""):
+    """Every key of a JSON value as a dotted path; list items add '[]'."""
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, prefix + "[].") for v in obj))
+    if not isinstance(obj, dict):
+        return set()
+    return set().union(*({prefix + k} | _key_paths(v, prefix + k + ".") for k, v in obj.items()))
+
+
+# the exact key set of every JSON report that pipeline writes; an added or
+# lost key fails test_pipeline_report_shapes
+_REPORT_KEYS = {
+    "manifest.json": """
+        status versions versions.package versions.python versions.numpy
+        stage_times_s stage_times_s.select stage_times_s.distort stage_times_s.evaluate
+        config config.configurations config.timing_repeats config.output_dir
+        config.classifiers config.classifiers.[].kind config.classifiers.[].seed
+        config.classifiers.[].hyperparameters config.classifiers.[].hyperparameters.k
+        config.dataset config.dataset.path config.dataset.drop_columns
+        config.dataset.label_column config.dataset.category_column
+        config.dataset.sha256 config.dataset.min_max_scale
+        config.selection config.selection.pcc_threshold
+        config.split config.split.test_fraction config.split.seed
+        config.sample config.sample.rows config.sample.seed""",
+    "selection_report.json": """
+        threshold kept constant_columns dropped dropped.[].name dropped.[].against
+        dropped.[].coefficient ranking ranking.[].feature ranking.[].score""",
+    "distortion_model": "columns beta intercept residual",
+    "distortion_timing": "configuration distortion_time_s n m",
+    "evaluation": """
+        configuration n_train n_test split split.test_fraction split.seed classifiers
+        classifiers.[].kind classifiers.[].seed classifiers.[].hyperparameters
+        classifiers.[].hyperparameters.k classifiers.[].confusion
+        classifiers.[].confusion.tp classifiers.[].confusion.fn
+        classifiers.[].confusion.fp classifiers.[].confusion.tn
+        classifiers.[].recall classifiers.[].precision classifiers.[].specificity
+        classifiers.[].f_score classifiers.[].accuracy
+        classifiers.[].train_time_s classifiers.[].test_time_s""",
+    "privacy": "configuration vd rp rk cp ck rp_sum n m distortion_time_s",
+    "utility_comparison.json": """
+        baseline comparisons comparisons.[].configuration comparisons.[].max_abs_delta
+        comparisons.[].deltas comparisons.[].deltas.[].classifier
+        comparisons.[].deltas.[].accuracy_delta""",
+}
+
+
+def test_pipeline_report_shapes(tmp_path, small_csv):
+    tags = ["baseline", "pcc_only", "lsm_only", "pcc_lsm"]
+    config_path = _config_file(tmp_path, small_csv, configurations=tags)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    rows = lambda path: list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    header = lambda path: rows(path)[0]
+    csvs = {p.name: header(p) for p in out.glob("*.csv")}
+    for name in csvs:
+        assert {len(row) for row in rows(out / name)} == {len(csvs[name])}, name
+    shapes = {p.name: _key_paths(json.loads(p.read_text())) for p in out.glob("*.json")}
+
+    expected = {name: _REPORT_KEYS[name] for name in
+                ("manifest.json", "selection_report.json", "utility_comparison.json")}
+    for tag in tags:
+        expected[f"evaluation_{tag}.json"] = _REPORT_KEYS["evaluation"]
+    for tag in ("lsm_only", "pcc_lsm"):
+        for kind in ("distortion_model", "distortion_timing", "privacy"):
+            expected[f"{kind}_{tag}.json"] = _REPORT_KEYS[kind]
+    assert shapes == {name: set(keys.split()) for name, keys in expected.items()}
+
+    features = [c for c in header(small_csv) if c not in ("id", "label", "attack_cat")]
+    kept = json.loads((out / "selection_report.json").read_text())["kept"]
+    assert kept != features
+    assert csvs == {
+        "correlation_matrix.csv": ["feature", *features],
+        "pcc_ranking.csv": ["feature", "mean_abs_pcc"],
+        "distorted_lsm_only.csv": features,
+        "distorted_pcc_lsm.csv": kept,
+        "privacy_measures.csv": ["configuration", "VD", "RP", "RK", "CP", "CK", "Time"],
+        "evaluation_summary.csv": [
+            "configuration", "classifier", "tp", "fn", "fp", "tn", "recall", "precision",
+            "specificity", "f_score", "accuracy", "train_time_s", "test_time_s",
+        ],
+    }
 
 
 def test_seeded_rerun_reproduces_reports(tmp_path, small_csv):

