@@ -54,6 +54,17 @@ NONDETERMINISTIC_KEYS = frozenset(
 DISTORTED_TAGS = tuple(t for t, (_, lsm) in evaluation.CONFIGURATIONS.items() if lsm)
 
 
+# Every report file, grouped by the command that writes it (select, distort,
+# evaluate, pipeline); "{}" stands for a configuration tag.
+REPORTS = (
+    "correlation_matrix.csv", "selection_report.json", "pcc_ranking.csv",
+    "distorted_{}.csv", "distortion_model_{}.json", "distortion_timing_{}.json",
+    "evaluation_{}.json", "privacy_{}.json", "utility_comparison.json",
+    "privacy_measures.csv", "evaluation_summary.csv",
+    "manifest.json",
+)
+
+
 @contextmanager
 def _replacing(path: Path):
     """A text file to write in place of path: it is written beside path and
@@ -69,41 +80,36 @@ def _replacing(path: Path):
     except BaseException as exc:
         with suppress(FileNotFoundError, NotADirectoryError):
             partial.unlink()
-        if isinstance(exc, OSError) and not isinstance(exc, FileNotFoundError):
+        if isinstance(exc, OSError):
             raise ConfigError(f"{path}: cannot write: {exc}") from None
         raise
 
 
-def _write_json(path: Path, payload) -> Path:
-    with _replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
+def _write(out: Path, reports: dict) -> list[Path]:
+    """Write each {name: payload} report into out through _replacing and
+    return the paths: a FeatureMatrix in row blocks, a (header, rows) pair
+    under a .csv name through csv.writer, anything else as JSON."""
+    for name, payload in reports.items():
+        with _replacing(out / name) as fh:
+            if isinstance(payload, FeatureMatrix):
+                _write_matrix(fh, payload)
+            elif name.endswith(".csv"):
+                header, rows = payload
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            else:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    return [out / name for name in reports]
 
 
 # Cells per block of rows that _write_matrix converts and writes at once.
 _MATRIX_BLOCK_CELLS = 1 << 16
 
 
-def _write_matrix(path: Path, matrix: FeatureMatrix) -> Path:
-    """Write matrix as the bytes _write_csv would: the header through
+def _write_matrix(fh, matrix: FeatureMatrix):
+    """Write matrix to fh as csv.writer would: the header through
     csv.writer, then the body in blocks of rows with one write per block.
     A float repr never holds a character csv would quote, and FeatureMatrix
     entries are finite.
@@ -115,17 +121,15 @@ def _write_matrix(path: Path, matrix: FeatureMatrix) -> Path:
     are held for one block, so their number follows the block, not the file."""
     bits = matrix.values.view(np.uint64)
     block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
-    with _replacing(path) as fh:
-        csv.writer(fh).writerow(matrix.column_names)
-        for start in range(0, matrix.n, block):
-            rows = bits[start : start + block]
-            text = np.empty(rows.shape, dtype=object)
-            for j in range(matrix.m):
-                distinct, where = np.unique(rows[:, j], return_inverse=True)
-                floats = distinct.view(np.float64).tolist()
-                text[:, j] = np.array(list(map(repr, floats)), dtype=object)[where]
-            fh.write("".join([",".join(row) + "\r\n" for row in text.tolist()]))
-    return path
+    csv.writer(fh).writerow(matrix.column_names)
+    for start in range(0, matrix.n, block):
+        rows = bits[start : start + block]
+        text = np.empty(rows.shape, dtype=object)
+        for j in range(matrix.m):
+            distinct, where = np.unique(rows[:, j], return_inverse=True)
+            floats = distinct.view(np.float64).tolist()
+            text[:, j] = np.array(list(map(repr, floats)), dtype=object)[where]
+        fh.write("".join([",".join(row) + "\r\n" for row in text.tolist()]))
 
 
 def _verify_sha256(path: str, expected: str):
@@ -135,7 +139,7 @@ def _verify_sha256(path: str, expected: str):
             for block in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(block)
     except FileNotFoundError:
-        raise
+        raise DataFormatError(f"file not found: {path}") from None
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from None
     actual = digest.hexdigest()
@@ -199,15 +203,6 @@ class Stages:
         return self._distorted[tag]
 
 
-def _model_payload(model) -> dict:
-    return {
-        "columns": list(model.fitted_on),
-        "beta": [float(b) for b in model.beta],
-        "intercept": model.intercept,
-        "residual": model.residual,
-    }
-
-
 def _evaluation_payload(report, config: PipelineConfig) -> dict:
     """The report's fields, with each classifier's metrics flattened into its
     entry and the split that produced it."""
@@ -221,26 +216,18 @@ def _evaluation_payload(report, config: PipelineConfig) -> dict:
 
 def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the correlation matrix, the selection report, and the ranking."""
-    out = Path(config.output_dir)
     C, report = (stages or Stages(config)).selection
-
-    written = [
-        _write_csv(
-            out / "correlation_matrix.csv",
+    reports = {
+        "correlation_matrix.csv": (
             ["feature", *C.column_names],
             ([name, *row] for name, row in zip(C.column_names, C.values.tolist())),
         ),
-        _write_json(
-            out / "selection_report.json",
-            {**asdict(report), "ranking": [{"feature": f, "score": v} for f, v in report.ranking]},
-        ),
-        _write_csv(
-            out / "pcc_ranking.csv",
-            ["feature", "mean_abs_pcc"],
-            ([name, score] for name, score in report.ranking),
-        ),
-    ]
-    return written
+        "selection_report.json": {
+            **asdict(report), "ranking": [{"feature": f, "score": v} for f, v in report.ranking]
+        },
+        "pcc_ranking.csv": (["feature", "mean_abs_pcc"], report.ranking),
+    }
+    return _write(Path(config.output_dir), reports)
 
 
 def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
@@ -251,28 +238,28 @@ def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Pa
         raise ConfigError(
             f"distort needs one of {DISTORTED_TAGS} in 'configurations', got {config.configurations}"
         )
-    out = Path(config.output_dir)
     stages = stages or Stages(config)
-    written = []
+    reports = {}
     for tag in tags:
         distorted, model, elapsed = stages.distorted(tag)
-        timing = {"configuration": tag, "distortion_time_s": elapsed, "n": distorted.n, "m": distorted.m}
-        written += [
-            _write_matrix(out / f"distorted_{tag}.csv", distorted),
-            _write_json(out / f"distortion_model_{tag}.json", _model_payload(model)),
-            _write_json(out / f"distortion_timing_{tag}.json", timing),
-        ]
-    return written
+        reports[f"distorted_{tag}.csv"] = distorted
+        reports[f"distortion_model_{tag}.json"] = {
+            "columns": list(model.fitted_on), "beta": model.beta.tolist(),
+            "intercept": model.intercept, "residual": model.residual,
+        }
+        reports[f"distortion_timing_{tag}.json"] = {
+            "configuration": tag, "distortion_time_s": elapsed, "n": distorted.n, "m": distorted.m
+        }
+    return _write(Path(config.output_dir), reports)
 
 
 def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Evaluate every requested configuration; write per-configuration
     evaluation reports, privacy reports for distorted configurations, a
     utility comparison against the baseline, and combined CSV summaries."""
-    out = Path(config.output_dir)
     stages = stages or Stages(config)
     y = stages.ingested[1]
-    reports = {}
+    evaluations = {}
     privacy = {}
     for tag in config.configurations:
         matrix = stages.original(tag)
@@ -281,69 +268,54 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
             privacy[tag] = privacy_report(matrix.values, distorted.values, elapsed)
             matrix = distorted
         split = stratified_split(matrix, y, config.test_fraction, config.split_seed)
-        reports[tag] = evaluation.run_configuration(
+        evaluations[tag] = evaluation.run_configuration(
             tag, *split, config.classifier_specs, timing_repeats=config.timing_repeats
         )
 
-    written = [
-        _write_json(out / f"evaluation_{tag}.json", _evaluation_payload(report, config))
-        for tag, report in reports.items()
-    ]
-    written += [
-        _write_json(out / f"privacy_{tag}.json", {"configuration": tag, **asdict(p)})
-        for tag, p in privacy.items()
-    ]
+    reports = {
+        f"evaluation_{tag}.json": _evaluation_payload(report, config)
+        for tag, report in evaluations.items()
+    }
+    for tag, p in privacy.items():
+        reports[f"privacy_{tag}.json"] = {"configuration": tag, **asdict(p)}
 
-    if "baseline" in reports:
+    if "baseline" in evaluations:
         comparisons = []
-        for tag, report in reports.items():
+        for tag, report in evaluations.items():
             if tag != "baseline":
-                result = evaluation.compare_utility(reports["baseline"], report)
+                result = evaluation.compare_utility(evaluations["baseline"], report)
                 deltas = [{"classifier": k, "accuracy_delta": d} for k, d in result.deltas]
                 comparisons.append(
                     {"configuration": tag, "deltas": deltas, "max_abs_delta": result.max_abs_delta}
                 )
-        written.append(
-            _write_json(
-                out / "utility_comparison.json",
-                {"baseline": "baseline", "comparisons": comparisons},
-            )
-        )
+        reports["utility_comparison.json"] = {"baseline": "baseline", "comparisons": comparisons}
 
     if privacy:
-        written.append(
-            _write_csv(
-                out / "privacy_measures.csv",
-                ["configuration", "VD", "RP", "RK", "CP", "CK", "Time"],
-                (
-                    [tag, p.vd, p.rp, p.rk, p.cp, p.ck, p.distortion_time_s]
-                    for tag, p in privacy.items()
-                ),
-            )
+        reports["privacy_measures.csv"] = (
+            ["configuration", "VD", "RP", "RK", "CP", "CK", "Time"],
+            ([tag, p.vd, p.rp, p.rk, p.cp, p.ck, p.distortion_time_s] for tag, p in privacy.items()),
         )
 
     header = [f.name for f in fields(evaluation.ConfusionCounts) + fields(evaluation.MetricSet)]
-    written.append(
-        _write_csv(
-            out / "evaluation_summary.csv",
-            ["configuration", "classifier", *header, "train_time_s", "test_time_s"],
-            (
-                [tag, r.kind, *astuple(r.confusion), *astuple(r.metrics), r.train_time_s, r.test_time_s]
-                for tag, report in reports.items()
-                for r in report.results
-            ),
-        )
+    reports["evaluation_summary.csv"] = (
+        ["configuration", "classifier", *header, "train_time_s", "test_time_s"],
+        (
+            [tag, r.kind, *astuple(r.confusion), *astuple(r.metrics), r.train_time_s, r.test_time_s]
+            for tag, report in evaluations.items()
+            for r in report.results
+        ),
     )
-    return written
+    return _write(Path(config.output_dir), reports)
 
 
 def cmd_pipeline(config: PipelineConfig) -> list[Path]:
     """Select, distort, and evaluate in one run, with a manifest that echoes
-    the effective config. The stages share one Stages object, so the CSV is
-    read once, within the select stage's time. An interrupted run leaves
-    status 'incomplete'."""
+    the effective config and lists the files the run wrote. The stages share
+    one Stages object, so the CSV is read once, within the select stage's
+    time. The distort stage is skipped when no distorted configuration is
+    requested. An interrupted run leaves status 'incomplete'; a complete run
+    removes every report in REPORTS that it did not write."""
     out = Path(config.output_dir)
-    manifest_path = out / "manifest.json"
     manifest = {
         "status": "incomplete",
         "config": config.echo(),
@@ -353,27 +325,35 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
             "numpy": np.__version__,
         },
         "stage_times_s": {},
+        "files": ["manifest.json"],
     }
-    _write_json(manifest_path, manifest)
-
-    written = [manifest_path]
+    written = _write(out, {"manifest.json": manifest})
     stages = Stages(config)
+    distorts = any(tag in DISTORTED_TAGS for tag in config.configurations)
     try:
         for stage_name, stage in (
             ("select", cmd_select),
             ("distort", cmd_distort),
             ("evaluate", cmd_evaluate),
         ):
+            if stage_name == "distort" and not distorts:
+                continue
             paths, elapsed = evaluation.median_time(lambda: stage(config, stages), 1)
-            written.extend(paths)
+            written += paths
+            manifest["files"] = sorted(p.name for p in written)
             manifest["stage_times_s"][stage_name] = elapsed
+        known = {pattern.format(tag) for pattern in REPORTS for tag in evaluation.CONFIGURATION_TAGS}
+        for name in sorted(known - set(manifest["files"])):
+            try:
+                (out / name).unlink(missing_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"{out / name}: cannot remove: {exc}") from None
     except BaseException as exc:
-        manifest["status"] = "incomplete"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        _write_json(manifest_path, manifest)
+        _write(out, {"manifest.json": manifest})
         raise
     manifest["status"] = "complete"
-    _write_json(manifest_path, manifest)
+    _write(out, {"manifest.json": manifest})
     return written
 
 
@@ -422,9 +402,6 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         written = COMMANDS[args.command](config)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

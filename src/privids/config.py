@@ -149,7 +149,7 @@ def load_config(path) -> PipelineConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     except FileNotFoundError:
-        raise
+        raise ConfigError(f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from None
     raw = _mapping(raw, "config", {section or key for section, key, *_ in SCHEMA} | {"classifiers"})

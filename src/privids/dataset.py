@@ -103,10 +103,10 @@ def load_csv(path) -> tuple[tuple[str, ...], Iterator[list]]:
     yields the data rows in lists of at most _CHUNK_ROWS, each either a
     _Lines of raw text lines, one row per line, or a list of csv rows.
 
-    Raises DataFormatError for an empty file or duplicate header names now,
-    and as chunks are read for a row with the wrong field count or that csv
-    cannot parse (a field over csv.field_size_limit(), say), naming its
-    1-based data row, or for a file that is not UTF-8 text."""
+    Raises DataFormatError for a missing or empty file or duplicate header
+    names now, and as chunks are read for a row with the wrong field count or
+    that csv cannot parse (a field over csv.field_size_limit(), say), naming
+    its 1-based data row, or for a file that is not UTF-8 text."""
     reader = _read(path)
     return next(reader), reader
 
@@ -167,7 +167,7 @@ def _read(path):
                 else:
                     yield from checked(csv.reader(lines))
     except FileNotFoundError:
-        raise
+        raise DataFormatError(f"file not found: {path}") from None
     except csv.Error as exc:
         where = "header" if header is None else f"row {i + 1}"
         raise DataFormatError(f"{path}: {where}: {exc}") from None

@@ -22,12 +22,6 @@ class DataValidationError(PipelineError):
     exit_code = 2
 
 
-class UndefinedCorrelationError(PipelineError):
-    """Pearson correlation requested for a constant (zero variance) vector."""
-
-    exit_code = 3
-
-
 class SingularMatrixError(PipelineError):
     """Rank-deficient least-squares design matrix; no minimum-norm fallback."""
 

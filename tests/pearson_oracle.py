@@ -3,7 +3,13 @@ privids.feature_selection.correlation_matrix is checked against."""
 
 import numpy as np
 
-from privids.errors import DataValidationError, UndefinedCorrelationError
+from privids.errors import DataValidationError, PipelineError
+
+
+class UndefinedCorrelationError(PipelineError):
+    """Pearson correlation requested for a constant (zero variance) vector."""
+
+    exit_code = 3
 
 
 def _centered(v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import json
+import re
 import typing
 from collections import Counter
 from contextlib import contextmanager
@@ -21,6 +22,7 @@ from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
 from privids.config import DEFAULT_SEED, SCHEMA, load_config
 from privids.dataset import FeatureMatrix
 from privids.errors import ConfigError
+from privids.evaluation import CONFIGURATION_TAGS
 
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "unsw.yaml"
 
@@ -87,15 +89,19 @@ def test_load_config_rejects_an_empty_classifier_list(tmp_path, small_csv):
         load_config(_config_file(tmp_path, small_csv, classifiers=[]))
 
 
-@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_exits_1(tmp_path, capsys, unreadable):
     path = tmp_path / "config.yaml"
     if unreadable == "directory":
         path.mkdir()
-    else:
+    elif unreadable == "not_utf8":
         path.write_bytes(b"dataset:\n  path: caf\xe9.csv\n")
     assert main(["select", "--config", str(path)]) == 1
-    assert _assert_one_line_error(capsys).startswith(f"error: {path}: cannot read: ")
+    err = _assert_one_line_error(capsys)
+    if unreadable == "missing":
+        assert err == f"error: file not found: {path}\n"
+    else:
+        assert err.startswith(f"error: {path}: cannot read: ")
 
 
 def test_load_config_rejects_unknown_keys(tmp_path, small_csv):
@@ -254,9 +260,11 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "report.json"
     matrix_path = tmp_path / "distorted.csv"
-    cli._write_csv(csv_path, ["a"], [[1]])
-    cli._write_json(json_path, {"a": 1})
-    cli._write_matrix(matrix_path, FeatureMatrix(np.ones((3, 2)), ("a", "b")))
+    cli._write(tmp_path, {
+        csv_path.name: (["a"], [[1]]),
+        json_path.name: {"a": 1},
+        matrix_path.name: FeatureMatrix(np.ones((3, 2)), ("a", "b")),
+    })
     before = {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)}
 
     def rows():
@@ -264,9 +272,9 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError):
-        cli._write_csv(csv_path, ["a"], rows())
+        cli._write(tmp_path, {csv_path.name: (["a"], rows())})
     with pytest.raises(TypeError):
-        cli._write_json(json_path, {"a": 2, "b": object()})
+        cli._write(tmp_path, {json_path.name: {"a": 2, "b": object()}})
 
     # the disk fills after the header and the first of four 3-row blocks
     monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
@@ -280,8 +288,9 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
             yield files[-1]
 
     monkeypatch.setattr(cli, "_replacing", full_disk)
+    matrix = FeatureMatrix(np.arange(20.0).reshape(10, 2), ("a", "b"))
     with pytest.raises(ConfigError, match="distorted.csv: cannot write: .*No space left"):
-        cli._write_matrix(matrix_path, FeatureMatrix(np.arange(20.0).reshape(10, 2), ("a", "b")))
+        cli._write(tmp_path, {matrix_path.name: matrix})
     assert files[0].written[1] == "0.0,1.0\r\n2.0,3.0\r\n4.0,5.0\r\n"
 
     assert {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)} == before
@@ -354,8 +363,22 @@ def _matrices(draw):
 def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, matrix):
     out = tmp_path_factory.getbasetemp()
     monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
-    cli._write_matrix(out / "fast.csv", matrix)
+    cli._write(out, {"fast.csv": matrix})
     writer_oracle.write_matrix(out / "oracle.csv", matrix)
+    assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+_CSV_CELLS = st.one_of(st.none(), st.floats(), st.integers(), st.text(max_size=4), st.booleans())
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_CSV_CELLS, min_size=2, max_size=2), max_size=5))
+def test_write_csv_matches_per_cell_oracle(tmp_path_factory, rows):
+    # csv.writer writes None as an empty field and a float as its repr, as
+    # the oracle's per-cell formatting does
+    out = tmp_path_factory.getbasetemp()
+    cli._write(out, {"fast.csv": (["a", "b"], rows)})
+    writer_oracle._write_csv(out / "oracle.csv", ["a", "b"], rows)
     assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
@@ -524,7 +547,7 @@ def _key_paths(obj, prefix=""):
 # lost key fails test_pipeline_report_shapes
 _REPORT_KEYS = {
     "manifest.json": """
-        status versions versions.package versions.python versions.numpy
+        status files versions versions.package versions.python versions.numpy
         stage_times_s stage_times_s.select stage_times_s.distort stage_times_s.evaluate
         config config.configurations config.timing_repeats config.output_dir
         config.classifiers config.classifiers.[].kind config.classifiers.[].seed
@@ -623,6 +646,45 @@ def test_pipeline_writes_complete_manifest(tmp_path, small_csv):
     assert set(manifest["stage_times_s"]) == {"select", "distort", "evaluate"}
 
 
+def test_pipeline_without_a_distorted_configuration_skips_distort(tmp_path, small_csv):
+    config_path = _config_file(tmp_path, small_csv, configurations=["baseline", "pcc_only"])
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["stage_times_s"]) == {"select", "evaluate"}
+    assert sorted(p.name for p in out.iterdir()) == manifest["files"] == [
+        "correlation_matrix.csv", "evaluation_baseline.json", "evaluation_pcc_only.json",
+        "evaluation_summary.csv", "manifest.json", "pcc_ranking.csv",
+        "selection_report.json", "utility_comparison.json",
+    ]
+
+
+def test_pipeline_removes_reports_it_did_not_write(tmp_path, small_csv):
+    out = tmp_path / "out"
+    first = _config_file(tmp_path, small_csv, configurations=list(CONFIGURATION_TAGS))
+    assert main(["pipeline", "--config", str(first)]) == 0
+    (out / "notes.txt").write_text("not a report\n")
+    second = _config_file(tmp_path, small_csv, configurations=["baseline", "pcc_lsm"])
+    assert main(["pipeline", "--config", str(second)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir() if p.name != "notes.txt") == manifest["files"]
+    assert (out / "notes.txt").read_text() == "not a report\n"
+    reports = {pattern.format(tag) for pattern in cli.REPORTS for tag in CONFIGURATION_TAGS}
+    assert set(manifest["files"]) <= reports
+    assert not [name for name in manifest["files"] if "lsm_only" in name or "pcc_only" in name]
+
+
+def test_report_that_cannot_be_removed_exits_1(tmp_path, small_csv, capsys):
+    stale = tmp_path / "out" / "evaluation_pcc_only.json"
+    (stale / "not a report").mkdir(parents=True)
+    config_path = _config_file(tmp_path, small_csv, configurations=["baseline"])
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert _assert_one_line_error(capsys).startswith(f"error: {stale}: cannot remove: ")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert "evaluation_baseline.json" in manifest["files"]
+
+
 def test_interrupted_pipeline_marks_manifest_incomplete(tmp_path):
     # duplicate-valued columns make the distortion stage abort after select
     rows = "\n".join(f"{i},{i * 2},{i % 2}" for i in range(1, 9))
@@ -637,6 +699,13 @@ def test_interrupted_pipeline_marks_manifest_incomplete(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert "rank" in manifest["error"]
+
+
+def test_readme_output_table_lists_the_reports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Output files", 1)[1].split("\n#", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert tuple(name.replace("<tag>", "{}") for name in names) == cli.REPORTS
 
 
 def test_cli_overrides(tmp_path, small_csv):

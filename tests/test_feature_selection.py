@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pearson_oracle import pearson
+from pearson_oracle import UndefinedCorrelationError, pearson
 from privids.dataset import FeatureMatrix
-from privids.errors import DataValidationError, UndefinedCorrelationError
+from privids.errors import DataValidationError
 from privids.feature_selection import (
     apply_selection,
     correlation_matrix,
