@@ -31,7 +31,7 @@ from .dataset import (
     stratified_sample,
     stratified_split,
 )
-from .distortion import distort
+from .distortion import distort, transform
 from .errors import ConfigError, DataFormatError, DataValidationError, PipelineError
 from .feature_selection import apply_selection, correlation_matrix, select_by_threshold
 from .privacy_metrics import privacy_report
@@ -43,10 +43,7 @@ NONDETERMINISTIC_KEYS = frozenset(
         "train_time_s",
         "test_time_s",
         "distortion_time_s",
-        "elapsed_s",
         "Time",
-        "started_at",
-        "finished_at",
         "stage_times_s",
     }
 )
@@ -104,8 +101,10 @@ def _write(out: Path, reports: dict) -> list[Path]:
     return [out / name for name in reports]
 
 
-# Cells per block of rows that _write_matrix converts and writes at once.
-_MATRIX_BLOCK_CELLS = 1 << 16
+# Cells per block of rows that _write_matrix converts and writes at once;
+# a block's repr strings take several times its float64 bytes, so a smaller
+# block lowers the writer's peak without changing a byte of output.
+_MATRIX_BLOCK_CELLS = 1 << 15
 
 
 def _write_matrix(fh, matrix: FeatureMatrix):
@@ -151,11 +150,13 @@ def _verify_sha256(path: str, expected: str):
 
 class Stages:
     """What the stages of one run compute, each on first use and then kept,
-    so commands that share this object ingest, select and distort once."""
+    so commands that share this object ingest, select and fit each distortion
+    once. A distorted matrix is not kept: it is rebuilt where it is used, so
+    no more than one is alive at a time."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self._distorted = {}
+        self._distortions = {}
 
     @cached_property
     def ingested(self) -> tuple[FeatureMatrix, LabelVector]:
@@ -191,16 +192,22 @@ class Stages:
         pcc, _ = evaluation.CONFIGURATIONS[tag]
         return self.selected if pcc else self.ingested[0]
 
-    def distorted(self, tag: str):
-        """(matrix, model, median wall time) of the distorted configuration;
-        the fitted model and matrix are identical across the timing repeats."""
-        if tag not in self._distorted:
+    def distortion(self, tag: str):
+        """(model, median wall time of fit and transform) of the distorted
+        configuration; the model is identical across the timing repeats, and
+        their matrices are dropped."""
+        if tag not in self._distortions:
             X, y = self.original(tag), self.ingested[1]
-            (matrix, model), elapsed = evaluation.median_time(
+            (_, model), elapsed = evaluation.median_time(
                 lambda: distort(X, y), self.config.timing_repeats
             )
-            self._distorted[tag] = (matrix, model, elapsed)
-        return self._distorted[tag]
+            self._distortions[tag] = (model, elapsed)
+        return self._distortions[tag]
+
+    def distorted(self, tag: str) -> FeatureMatrix:
+        """The distorted matrix, rebuilt on every call from the kept model;
+        transform is elementwise, so its bits are the timed runs'."""
+        return transform(self.original(tag), self.distortion(tag)[0])
 
 
 def _evaluation_payload(report, config: PipelineConfig) -> dict:
@@ -232,25 +239,28 @@ def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Pat
 
 def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the distorted matrix, model, and timing for every distorted
-    configuration that was requested."""
+    configuration that was requested, each as soon as it is fitted."""
     tags = [t for t in config.configurations if t in DISTORTED_TAGS]
     if not tags:
         raise ConfigError(
             f"distort needs one of {DISTORTED_TAGS} in 'configurations', got {config.configurations}"
         )
     stages = stages or Stages(config)
-    reports = {}
+    written = []
     for tag in tags:
-        distorted, model, elapsed = stages.distorted(tag)
-        reports[f"distorted_{tag}.csv"] = distorted
-        reports[f"distortion_model_{tag}.json"] = {
-            "columns": list(model.fitted_on), "beta": model.beta.tolist(),
-            "intercept": model.intercept, "residual": model.residual,
-        }
-        reports[f"distortion_timing_{tag}.json"] = {
-            "configuration": tag, "distortion_time_s": elapsed, "n": distorted.n, "m": distorted.m
-        }
-    return _write(Path(config.output_dir), reports)
+        model, elapsed = stages.distortion(tag)
+        X = stages.original(tag)
+        written += _write(Path(config.output_dir), {
+            f"distorted_{tag}.csv": stages.distorted(tag),
+            f"distortion_model_{tag}.json": {
+                "columns": list(model.fitted_on), "beta": model.beta.tolist(),
+                "intercept": model.intercept, "residual": model.residual,
+            },
+            f"distortion_timing_{tag}.json": {
+                "configuration": tag, "distortion_time_s": elapsed, "n": X.n, "m": X.m
+            },
+        })
+    return written
 
 
 def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
@@ -262,15 +272,15 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
     evaluations = {}
     privacy = {}
     for tag in config.configurations:
-        matrix = stages.original(tag)
+        matrix = original = stages.original(tag)
         if tag in DISTORTED_TAGS:
-            distorted, _, elapsed = stages.distorted(tag)
-            privacy[tag] = privacy_report(matrix.values, distorted.values, elapsed)
-            matrix = distorted
+            matrix = stages.distorted(tag)
+            privacy[tag] = privacy_report(original.values, matrix.values, stages.distortion(tag)[1])
         split = stratified_split(matrix, y, config.test_fraction, config.split_seed)
         evaluations[tag] = evaluation.run_configuration(
             tag, *split, config.classifier_specs, timing_repeats=config.timing_repeats
         )
+        del matrix, split  # so this tag's distorted matrix is gone before the next is built
 
     reports = {
         f"evaluation_{tag}.json": _evaluation_payload(report, config)

@@ -1,9 +1,11 @@
 import csv
 import errno
+import gc
 import hashlib
 import json
 import re
 import typing
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,6 +23,7 @@ from privids.classifiers import KINDS, default_hyperparameters
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
 from privids.config import DEFAULT_SEED, SCHEMA, load_config
 from privids.dataset import FeatureMatrix
+from privids.distortion import distort
 from privids.errors import ConfigError
 from privids.evaluation import CONFIGURATION_TAGS
 
@@ -387,8 +390,70 @@ def test_distort_writes_oracle_bytes(tmp_path, small_csv):
     assert main(["distort", "--config", str(config_path)]) == 0
     stages = cli.Stages(load_config(config_path))
     for tag in ("lsm_only", "pcc_lsm"):
-        oracle = writer_oracle.write_matrix(tmp_path / f"oracle_{tag}.csv", stages.distorted(tag)[0])
+        oracle = writer_oracle.write_matrix(tmp_path / f"oracle_{tag}.csv", stages.distorted(tag))
         assert (tmp_path / "out" / f"distorted_{tag}.csv").read_bytes() == oracle.read_bytes()
+
+
+def test_stages_rebuilds_the_timed_distorted_matrix_bit_for_bit(tmp_path, small_csv, monkeypatch):
+    timed = []
+
+    def recording_distort(X, y):
+        matrix, model = distort(X, y)
+        timed.append(matrix)
+        return matrix, model
+
+    monkeypatch.setattr(cli, "distort", recording_distort)
+    stages = cli.Stages(load_config(_config_file(tmp_path, small_csv, timing_repeats=2)))
+    for tag in cli.DISTORTED_TAGS:
+        timed.clear()
+        rebuilt = stages.distorted(tag)
+        assert len(timed) == 2
+        for matrix in timed:
+            assert rebuilt.column_names == matrix.column_names
+            assert np.array_equal(rebuilt.values.view(np.uint64), matrix.values.view(np.uint64))
+
+
+def test_stages_does_not_keep_a_distorted_matrix(tmp_path, small_csv):
+    stages = cli.Stages(load_config(_config_file(tmp_path, small_csv)))
+    for tag in cli.DISTORTED_TAGS:
+        matrix = stages.distorted(tag)
+        refs = (weakref.ref(matrix), weakref.ref(matrix.values))
+        del matrix
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert stages.distortion(tag)[0].fitted_on == stages.original(tag).column_names
+
+
+def test_a_failing_later_configuration_keeps_the_earlier_ones_files(tmp_path, small_csv, capsys):
+    # a copy of dur: PCC selection drops it, so pcc_lsm fits, but lsm_only's
+    # design matrix is rank deficient
+    with open(small_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at, dur = rows[0].index("attack_cat"), rows[0].index("dur")
+    for row in rows:
+        row.insert(at, row[dur] if row is not rows[0] else "dur_copy")
+    data = tmp_path / "flows.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+    written, expected = tmp_path / "both", tmp_path / "alone"
+    both = _config_file(tmp_path, data, output_dir=str(written), configurations=["pcc_lsm", "lsm_only"])
+    assert main(["distort", "--config", str(both)]) == 3
+    err = _assert_one_line_error(capsys)
+    assert err.startswith("error: design matrix of shape (400, 44) has rank 43 < 44 ")
+    alone = _config_file(tmp_path, data, output_dir=str(expected), configurations=["pcc_lsm"])
+    assert main(["distort", "--config", str(alone)]) == 0
+    capsys.readouterr()
+
+    names = sorted(p.name for p in expected.iterdir())
+    assert names == sorted(
+        ["distorted_pcc_lsm.csv", "distortion_model_pcc_lsm.json", "distortion_timing_pcc_lsm.json"]
+    )
+    assert sorted(p.name for p in written.iterdir()) == names
+    for name in names[:2]:
+        assert (written / name).read_bytes() == (expected / name).read_bytes()
+    timing = [json.loads((out / names[2]).read_text()) for out in (written, expected)]
+    assert _strip_timing(timing[0]) == _strip_timing(timing[1])
 
 
 def test_scalar_drop_columns_rejected(tmp_path, small_csv):

@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from privids.evaluation import (
     ConfusionCounts,
     compare_utility,
     confusion,
+    median_time,
     metrics,
     run_configuration,
 )
@@ -225,3 +227,22 @@ def test_knn_time_grows_with_training_size():
             elapsed.append(time.perf_counter() - start)
         totals.append(sum(elapsed) / 3)
     assert totals[0] <= totals[1] * 1.25 and totals[1] <= totals[2] * 1.25
+
+
+def test_median_time_lets_each_result_go_before_the_next_call():
+    class Result:
+        pass
+
+    refs = []
+    previous_alive = []
+
+    def fn():
+        if refs:
+            previous_alive.append(refs[-1]() is not None)
+        result = Result()
+        refs.append(weakref.ref(result))
+        return result
+
+    last, _ = median_time(fn, 3)
+    assert previous_alive == [False, False]
+    assert refs[-1]() is last
