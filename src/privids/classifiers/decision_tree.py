@@ -6,14 +6,15 @@ max_depth, at a pure node, or when a node has fewer than min_samples_split
 rows; leaves predict the majority label, ties resolving toward 0.
 
 One builder, TreeBuilder, grows every tree: the single tree of train() and
-all the forest's trees, in lockstep. Each tree keeps its own depth-first
-stack and its own candidate sampler, so node ids and sampler draws come in
-the order of growing that tree alone. Each round pops the next node to split
-from every tree, and batched searches score the popped nodes a block of
-under 2**16 (rows x candidates) cells at a time: each (node, candidate
-feature) column is sorted by the dense rank of its values, and the weighted
-child Gini is computed only at value boundaries. The result equals a
-per-node search over every sorted position:
+all the forest's trees, in lockstep, into one node table per fit (TreeState),
+where children are made as a pair, so a right child is its left sibling + 1.
+Each tree keeps its own depth-first stack and its own candidate sampler, so
+its nodes and sampler draws come in the order of growing that tree alone.
+Each round pops the next node to split from every tree, and batched searches
+score the popped nodes a block of under 2**16 (rows x candidates) cells at a
+time: each (node, candidate feature) column is sorted by the dense rank of
+its values, and the weighted child Gini is computed only at value
+boundaries. The result equals a per-node search over every sorted position:
 
 - the row and positive counts left of a value boundary do not depend on how
   tied rows are ordered, and positions inside a run of equal values are
@@ -23,7 +24,9 @@ per-node search over every sorted position:
   the order of a flattened argmin over a (sorted position x candidate) table.
 
 A fit runs in the calling process, one round after another, so the
-evaluation's train_time_s is the time of a single-process fit.
+evaluation's train_time_s is the time of a single-process fit. Predicting
+walks every (tree, row) pair down the table at once and takes the trees'
+majority vote, ties going to 0, so a lone tree votes its own leaf.
 """
 
 from __future__ import annotations
@@ -35,52 +38,42 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TreeState:
+    """Every tree of one fit in one node table: tree t starts at node
+    roots[t], and node i's right child is left[i] + 1."""
+
     feature: np.ndarray    # split feature per node, -1 at leaves
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     label: np.ndarray      # majority label per node
+    roots: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = np.flatnonzero(self.feature[node] >= 0)
-            if internal.size == 0:
-                break
-            current = node[internal]
-            go_left = X[internal, self.feature[current]] <= self.threshold[current]
-            node[internal] = np.where(go_left, self.left[current], self.right[current])
-        return self.label[node].astype(np.int64)
+        """The trees' majority vote, ties to 0, walked in blocks of at most
+        _BLOCK_CELLS (tree, row) pairs, or of one row when the trees are more."""
+        n_trees = self.roots.size
+        block = max(1, _BLOCK_CELLS // n_trees)
+        votes = np.empty(X.shape[0], dtype=np.int64)
+        for start in range(0, X.shape[0], block):
+            rows = X[start : start + block]
+            # pair i is tree i // k at row i % k of this block
+            k = rows.shape[0]
+            node = self.roots.repeat(k)
+            row = np.tile(np.arange(k), n_trees)
+            while True:
+                internal = np.flatnonzero(self.feature[node] >= 0)
+                if internal.size == 0:
+                    break
+                current = node[internal]
+                go_left = rows[row[internal], self.feature[current]] <= self.threshold[current]
+                node[internal] = self.left[current] + ~go_left
+            votes[start : start + k] = self.label[node].reshape(n_trees, k).sum(axis=0)
+        return (2 * votes > n_trees).astype(np.int64)
 
 
 _NOT_LOWEST = np.iinfo(np.int64).max
 # Cells (rows x candidates) scored by one batched search, unless one node alone
-# has more. It bounds the search's temporary arrays to a few MB.
+# has more, and (tree, row) pairs of one predict block: a few MB of temporaries.
 _BLOCK_CELLS = 1 << 16
-
-
-class _Nodes:
-    """Node arrays of one growing tree; new_node appends a leaf."""
-
-    def __init__(self):
-        self.feature, self.threshold, self.left, self.right, self.label = [], [], [], [], []
-
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.label.append(0)
-        return len(self.feature) - 1
-
-    def state(self) -> TreeState:
-        return TreeState(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            label=np.array(self.label, dtype=np.int64),
-        )
 
 
 class TreeBuilder:
@@ -110,19 +103,22 @@ class TreeBuilder:
         self.values = sorted_vals.T[new.T]
         self.value_start = np.concatenate(([0], np.cumsum(distinct)[:-1]))
 
-    def grow(self, roots: list[np.ndarray], samplers=None) -> list[TreeState]:
-        """Grow one tree per root, in lockstep. roots[t] holds the rows of X
-        that tree t is grown on, repeats allowed (a bootstrap). samplers[t],
-        when given, returns the sorted candidate features for one split
-        attempt of tree t; None means all features at every split."""
+    def grow(self, roots: list[np.ndarray], samplers=None) -> TreeState:
+        """Grow one tree per root, in lockstep, into one table. roots[t] holds
+        the rows of X that tree t is grown on, repeats allowed (a bootstrap).
+        samplers[t], when given, returns the sorted candidate features for
+        one split attempt of tree t; None means all features at every split."""
         all_features = np.arange(self.X.shape[1])
-        trees = [_Nodes() for _ in roots]
+        # The node table starts with one leaf per tree, its root; a split
+        # appends its two children as leaves, left then right.
+        n_trees = len(roots)
+        feature, left = [-1] * n_trees, [-1] * n_trees
+        threshold, label = [0.0] * n_trees, [0] * n_trees
         # Stack entries are (node id, rows, depth, positive rows). A child
         # can be empty: when two distinct values are adjacent floats, their
         # midpoint can round to the upper one, and every row goes left.
         stacks = [
-            [(tree.new_node(), rows, 0, int(self.y[rows].sum()))]
-            for tree, rows in zip(trees, map(np.asarray, roots))
+            [(t, rows, 0, int(self.y[rows].sum()))] for t, rows in enumerate(map(np.asarray, roots))
         ]
         while True:
             # Pop from every tree until it reaches a node to split. Leaves draw
@@ -133,7 +129,7 @@ class TreeBuilder:
                 while stack:
                     node, rows, depth, pos = stack.pop()
                     k = rows.size
-                    trees[t].label[node] = 1 if 2 * pos > k else 0
+                    label[node] = 1 if 2 * pos > k else 0
                     if depth >= self.max_depth or k < self.min_samples_split or pos in (0, k):
                         continue
                     candidates = samplers[t]() if samplers is not None else all_features
@@ -160,17 +156,23 @@ class TreeBuilder:
                 )
                 for b, f, thr in zip(picked.tolist(), features.tolist(), thresholds.tolist()):
                     t, node, rows, depth, pos, _ = block[b]
-                    tree = trees[t]
-                    tree.feature[node] = f
-                    tree.threshold[node] = thr
-                    tree.left[node] = tree.new_node()
-                    tree.right[node] = tree.new_node()
+                    feature[node], threshold[node], left[node] = f, thr, len(feature)
+                    feature += [-1, -1]
+                    threshold += [0.0, 0.0]
+                    left += [-1, -1]
+                    label += [0, 0]
                     go_left = self.X[rows, f] <= thr
-                    left, right = rows[go_left], rows[~go_left]
-                    left_pos = int(self.y[left].sum())
-                    stacks[t].append((tree.right[node], right, depth + 1, pos - left_pos))
-                    stacks[t].append((tree.left[node], left, depth + 1, left_pos))
-        return [tree.state() for tree in trees]
+                    rows_left, rows_right = rows[go_left], rows[~go_left]
+                    left_pos = int(self.y[rows_left].sum())
+                    stacks[t].append((left[node] + 1, rows_right, depth + 1, pos - left_pos))
+                    stacks[t].append((left[node], rows_left, depth + 1, left_pos))
+        return TreeState(
+            feature=np.array(feature, dtype=np.int64),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.int64),
+            label=np.array(label, dtype=np.int64),
+            roots=np.arange(n_trees, dtype=np.int64),
+        )
 
     def _best_splits(self, rows, sizes, positives, candidates):
         """Lowest weighted child Gini split of each node, over all candidate
@@ -245,4 +247,4 @@ class TreeBuilder:
 
 def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> TreeState:
     builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
-    return builder.grow([np.arange(X.shape[0])])[0]
+    return builder.grow([np.arange(X.shape[0])])

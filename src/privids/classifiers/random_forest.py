@@ -4,35 +4,23 @@ Each tree sees a seeded bootstrap of the rows and, at every split attempt,
 ceil(sqrt(m)) candidate features drawn without replacement. Tree seeds are
 spawned from the forest seed, so results do not depend on fit order.
 
-All trees are grown together by one decision_tree.TreeBuilder, in lockstep.
-Each tree draws its bootstrap and its candidates from its own generator, in
-its own depth-first order, so the trees equal trees grown one at a time. The
-fit runs in the calling process, so train_time_s is still the time of a
-single-process fit.
+All trees are grown by one decision_tree.TreeBuilder, in lockstep, into one
+TreeState node table, which predicts their majority vote. Each tree draws its
+bootstrap and its candidates from its own generator, in its own depth-first
+order, so the trees equal trees grown one at a time. The fit runs in the
+calling process, so train_time_s is still the time of a single-process fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decision_tree import TreeBuilder, TreeState
 
 
-@dataclass(frozen=True)
-class ForestState:
-    trees: tuple[TreeState, ...]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(X)
-        return (2 * votes > len(self.trees)).astype(np.int64)
-
-
-def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> ForestState:
+def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> TreeState:
     n, m = X.shape
     n_candidates = min(math.ceil(math.sqrt(m)), m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
@@ -41,4 +29,4 @@ def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> ForestState:
         lambda rng=rng: np.sort(rng.choice(m, size=n_candidates, replace=False)) for rng in rngs
     ]
     builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
-    return ForestState(trees=tuple(builder.grow(roots, samplers)))
+    return builder.grow(roots, samplers)

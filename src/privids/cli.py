@@ -148,6 +148,11 @@ def _verify_sha256(path: str, expected: str):
         )
 
 
+# The largest magnitude a feature may hold once parsed and scaled: below it,
+# the sums of squares of correlation, kNN, naive Bayes and the SVM stay finite.
+_LARGEST_MAGNITUDE = 1e100
+
+
 class Stages:
     """What the stages of one run compute, each on first use and then kept,
     so commands that share this object ingest, select and fit each distortion
@@ -173,6 +178,13 @@ class Stages:
         )
         if not X.n:
             raise DataFormatError(f"{config.dataset_path}: header but no data rows")
+        if X.values.size and max(X.values.max(), -X.values.min()) > _LARGEST_MAGNITUDE:
+            largest = np.abs(X.values).max(axis=0)
+            raise DataValidationError(
+                f"column '{X.column_names[np.argmax(largest)]}' holds magnitudes up to "
+                f"{largest.max():.3e}, above the {_LARGEST_MAGNITUDE:.0e} whose squares the "
+                "pipeline can sum; rescale it or set dataset.min_max_scale"
+            )
         if config.sample_rows is not None:
             X, y = stratified_sample(X, y, config.sample_rows, config.sample_seed)
         return X, y

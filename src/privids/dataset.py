@@ -73,7 +73,8 @@ class FeatureMatrix:
             raise DataValidationError(f"unknown columns: {missing}")
         wanted = set(names)
         keep = [i for i, c in enumerate(self.column_names) if c in wanted]
-        return FeatureMatrix(self.values[:, keep], tuple(self.column_names[i] for i in keep))
+        values = _frozen(np.take(self.values, keep, axis=1))
+        return FeatureMatrix(values, tuple(self.column_names[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -367,13 +368,24 @@ def _min_max_scale(values: np.ndarray) -> np.ndarray:
     return (values * half - lo) / span
 
 
-def _per_class_test_counts(y: np.ndarray, test_fraction: float) -> dict[int, int]:
-    counts = {}
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A fresh array nothing else refers to, made read-only so that
+    FeatureMatrix keeps it without a copy."""
+    values.setflags(write=False)
+    return values
+
+
+def _stratified_rows(labels: np.ndarray, fraction: float, seed: int, leave: int) -> np.ndarray:
+    """Sorted indices of fraction of each class's rows, rounded half up, at
+    least 1 and at most all but leave of them: the front of a seeded shuffle
+    of class 0's rows, then of class 1's."""
+    rng = np.random.default_rng(seed)
+    picked = []
     for cls in (0, 1):
-        n_c = int(np.sum(y == cls))
-        want = int(np.floor(n_c * test_fraction + 0.5))
-        counts[cls] = min(max(want, 1), n_c - 1)
-    return counts
+        members = np.flatnonzero(labels == cls)
+        want = min(max(int(np.floor(members.size * fraction + 0.5)), 1), members.size - leave)
+        picked.append(members[rng.permutation(members.size)][:want])
+    return np.sort(np.concatenate(picked))
 
 
 def stratified_split(
@@ -397,22 +409,15 @@ def stratified_split(
         if int(np.sum(labels == cls)) < 2:
             raise DataValidationError(f"class {cls} has fewer than 2 members")
 
-    rng = np.random.default_rng(seed)
-    test_counts = _per_class_test_counts(labels, test_fraction)
-    test_idx = []
-    for cls in (0, 1):
-        members = np.flatnonzero(labels == cls)
-        shuffled = members[rng.permutation(members.size)]
-        test_idx.append(shuffled[: test_counts[cls]])
-    test_idx = np.sort(np.concatenate(test_idx))
+    test_idx = _stratified_rows(labels, test_fraction, seed, leave=1)
     mask = np.zeros(labels.size, dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
 
     return (
-        FeatureMatrix(X.values[train_idx], X.column_names),
+        FeatureMatrix(_frozen(X.values[train_idx]), X.column_names),
         LabelVector(labels[train_idx]),
-        FeatureMatrix(X.values[test_idx], X.column_names),
+        FeatureMatrix(_frozen(X.values[test_idx]), X.column_names),
         LabelVector(labels[test_idx]),
     )
 
@@ -428,15 +433,5 @@ def stratified_sample(
         raise DataValidationError(f"sample of {n_rows} rows requested but only {X.n} available")
     if n_rows == X.n:
         return X, y
-    fraction = n_rows / X.n
-    rng = np.random.default_rng(seed)
-    labels = y.values
-    picked = []
-    for cls in (0, 1):
-        members = np.flatnonzero(labels == cls)
-        want = int(np.floor(members.size * fraction + 0.5))
-        want = min(max(want, 1), members.size)
-        shuffled = members[rng.permutation(members.size)]
-        picked.append(shuffled[:want])
-    idx = np.sort(np.concatenate(picked))
-    return FeatureMatrix(X.values[idx], X.column_names), LabelVector(labels[idx])
+    idx = _stratified_rows(y.values, n_rows / X.n, seed, leave=0)
+    return FeatureMatrix(_frozen(X.values[idx]), X.column_names), LabelVector(y.values[idx])

@@ -67,6 +67,15 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
     # collinearity rather than disparate feature scales; coefficients are
     # unscaled afterwards.
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    # Where the squares overflowed or underflowed, take the norm again scaled
+    # by the column's largest magnitude; every other column keeps its norm.
+    for j in np.flatnonzero((norms == 0.0) | np.isinf(norms)):
+        largest = np.abs(design[:, j]).max()
+        with np.errstate(over="ignore"):
+            norms[j] = largest * np.linalg.norm(design[:, j] / largest) if largest else 0.0
+    if np.any(np.isinf(norms)):
+        j = int(np.argmax(np.isinf(norms))) - 1
+        raise DataValidationError(_out_of_range(X, j, "too large for a least-squares fit"))
     if np.any(norms == 0.0):
         dead = X.column_names[int(np.argmax(norms[1:] == 0.0))]
         raise SingularMatrixError(f"column '{dead}' is identically zero")
@@ -82,7 +91,11 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
             f"(smallest equilibrated singular value {smallest:.3e}); "
             "remove collinear or constant columns before fitting"
         )
-    solution = scaled_solution / norms
+    with np.errstate(over="ignore"):
+        solution = scaled_solution / norms
+    if not np.all(np.isfinite(solution)):
+        j = int(np.argmin(np.isfinite(solution))) - 1
+        raise DataValidationError(_out_of_range(X, j, "too small for its coefficient to be finite"))
     predicted = np.column_stack([np.ones(X.n), X.values]) @ solution
     residual = float(np.mean((target - predicted) ** 2))
     return DistortionModel(
@@ -93,13 +106,21 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
     )
 
 
+def _out_of_range(X: FeatureMatrix, j: int, problem: str) -> str:
+    largest = np.abs(X.values[:, j]).max()
+    return f"column '{X.column_names[j]}' holds magnitudes up to {largest:.3e}, {problem}"
+
+
 def transform(X: FeatureMatrix, model: DistortionModel) -> FeatureMatrix:
     """Apply the per-column affine rewrite to every element of X."""
     if tuple(X.column_names) != model.fitted_on:
         raise DataValidationError(
             f"matrix columns {X.column_names} do not match fitted columns {model.fitted_on}"
         )
-    distorted = X.values * model.beta[np.newaxis, :] + model.shift
+    # added to in place and made read-only, so no second matrix is made
+    distorted = X.values * model.beta[np.newaxis, :]
+    distorted += model.shift
+    distorted.setflags(write=False)
     return FeatureMatrix(distorted, X.column_names)
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +193,32 @@ def _assert_same_tree(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _one_tree(state, t):
+    """Tree t of a fit's shared node table as an oracle record, its nodes
+    renumbered in the order the per-tree builder makes them: depth-first,
+    left child first, children made as a pair."""
+    order = [int(state.roots[t])]
+    stack = list(order)
+    while stack:
+        node = stack.pop()
+        if state.feature[node] >= 0:
+            child = int(state.left[node])
+            order += [child, child + 1]
+            stack += [child + 1, child]
+    order = np.array(order)
+    renumbered = np.full(state.feature.size, -1, dtype=np.int64)
+    renumbered[order] = np.arange(order.size)
+    internal = state.feature[order] >= 0
+    left = np.where(internal, renumbered[state.left[order]], -1)
+    return tree_oracle.TreeState(
+        feature=state.feature[order],
+        threshold=state.threshold[order],
+        left=left,
+        right=np.where(internal, left + 1, -1),
+        label=state.label[order],
+    )
+
+
 _SHAPES = (
     "small_ints", "duplicated_rows", "constant_column", "continuous_column", "adjacent_floats",
     "all_constant",
@@ -220,15 +248,62 @@ def test_lockstep_trees_match_per_node_oracle(
 ):
     X, y = _tie_heavy(seed, n, m, distinct, shape)
     hp = {"max_depth": max_depth, "min_samples_split": min_samples_split, "n_trees": n_trees}
-    _assert_same_tree(
-        decision_tree.train(X, y, hp, seed),
-        tree_oracle.build_tree(X, y, max_depth, min_samples_split),
-    )
-    got = random_forest.train(X, y, hp, seed).trees
+    tree = decision_tree.train(X, y, hp, seed)
+    assert tree.roots.tolist() == [0]
+    _assert_same_tree(_one_tree(tree, 0), tree_oracle.build_tree(X, y, max_depth, min_samples_split))
+    forest = random_forest.train(X, y, hp, seed)
     want = tree_oracle.train_forest(X, y, hp, seed).trees
-    assert len(got) == len(want) == n_trees
+    assert forest.roots.size == len(want) == n_trees
+    got = [_one_tree(forest, t) for t in range(n_trees)]
+    # every node of the table belongs to exactly one tree
+    assert sum(a.feature.size for a in got) == forest.feature.size
     for a, b in zip(got, want):
         _assert_same_tree(a, b)
+
+
+def _probes(rng, X, state, p):
+    """p rows to predict: training rows, training rows with one column set to
+    a split threshold of the fit, and rows drawn around X's range."""
+    probes = X[rng.integers(0, X.shape[0], size=p)]
+    internal = np.flatnonzero(state.feature >= 0)
+    if internal.size:
+        at = rng.integers(0, p, size=p // 3)
+        node = internal[rng.integers(0, internal.size, size=at.size)]
+        probes[at, state.feature[node]] = state.threshold[node]
+    noise = rng.integers(0, p, size=p // 3)
+    probes[noise] = rng.uniform(X.min() - 1.0, X.max() + 1.0, size=(noise.size, X.shape[1]))
+    return probes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    m=st.integers(1, 6),
+    distinct=st.integers(1, 5),
+    shape=st.sampled_from(_SHAPES),
+    max_depth=st.integers(1, 8),
+    n_trees=st.integers(1, 6),
+    p=st.integers(0, 40),
+    block_cells=st.sampled_from([decision_tree._BLOCK_CELLS, 1, 7]),
+)
+# two trees: every row where they disagree is a tie, which goes to 0
+@example(seed=3, n=40, m=3, distinct=4, shape="small_ints", max_depth=3, n_trees=2, p=40,
+         block_cells=7)
+def test_one_traversal_predicts_the_oracle_vote(
+    seed, n, m, distinct, shape, max_depth, n_trees, p, block_cells
+):
+    X, y = _tie_heavy(seed, n, m, distinct, shape)
+    hp = {"max_depth": max_depth, "min_samples_split": 2, "n_trees": n_trees}
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(decision_tree, "_BLOCK_CELLS", block_cells):
+        for state, oracle in (
+            (decision_tree.train(X, y, hp, seed), tree_oracle.build_tree(X, y, max_depth, 2)),
+            (random_forest.train(X, y, hp, seed), tree_oracle.train_forest(X, y, hp, seed)),
+        ):
+            probes = _probes(rng, X, state, p)
+            got, want = state.predict(probes), oracle.predict(probes)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_all_kinds_deterministic_across_refits():

@@ -456,6 +456,50 @@ def test_a_failing_later_configuration_keeps_the_earlier_ones_files(tmp_path, sm
     assert _strip_timing(timing[0]) == _strip_timing(timing[1])
 
 
+def _scaled_column(small_csv, path, column, scale):
+    """small_csv with every cell of column times scale, shifted off zero."""
+    with open(small_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(column)
+    for row in rows[1:]:
+        row[j] = repr((float(row[j]) + 1.0) * scale)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_a_column_too_large_to_square_exits_2_naming_it(tmp_path, small_csv, capsys):
+    # the squares of dur overflowed fit_lsm's column norm, and the run
+    # exited 3 calling the column collinear
+    data = _scaled_column(small_csv, tmp_path / "flows.csv", "dur", 1e154)
+    assert main(["pipeline", "--config", str(_config_file(tmp_path, data))]) == 2
+    err = _assert_one_line_error(capsys)
+    assert err.startswith("error: column 'dur' holds magnitudes up to ")
+    assert "above the 1e+100 whose squares the pipeline can sum" in err
+
+
+def test_a_tiny_column_distorts_as_its_unscaled_self(tmp_path, small_csv):
+    # the squares of sbytes underflowed fit_lsm's column norm to 0, and the
+    # run exited 3 calling the column identically zero
+    outputs = {}
+    for scale in (1.0, 1e-307):
+        data = _scaled_column(small_csv, tmp_path / f"flows_{scale}.csv", "sbytes", scale)
+        out = tmp_path / f"out_{scale}"
+        config = _config_file(tmp_path, data, output_dir=str(out), configurations=["lsm_only"])
+        assert main(["distort", "--config", str(config)]) == 0
+        outputs[scale] = np.loadtxt(out / "distorted_lsm_only.csv", delimiter=",", skiprows=1)
+    # the distorted sbytes column is beta * x, so the scale cancels
+    assert np.allclose(outputs[1e-307], outputs[1.0], rtol=1e-9, atol=0.0)
+
+
+def test_a_subnormal_column_exits_2_naming_it(tmp_path, small_csv, capsys):
+    data = _scaled_column(small_csv, tmp_path / "flows.csv", "sbytes", 1e-315)
+    assert main(["distort", "--config", str(_config_file(tmp_path, data))]) == 2
+    err = _assert_one_line_error(capsys)
+    assert err.startswith("error: column 'sbytes' holds magnitudes up to ")
+    assert err.endswith("too small for its coefficient to be finite\n")
+
+
 def test_scalar_drop_columns_rejected(tmp_path, small_csv):
     config_path = _config_file(
         tmp_path, small_csv, dataset={"path": str(small_csv), "drop_columns": "id"}

@@ -1,5 +1,6 @@
 import csv
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -512,3 +513,71 @@ def test_sample_preserves_ratio_and_determinism():
     assert np.array_equal(Xs.values, Xs2.values)
     with pytest.raises(DataValidationError, match="sample"):
         stratified_sample(X, y, 500, seed=9)
+
+
+def _old_split_rows(labels, test_fraction, seed):
+    """stratified_split's test rows as picked before the picker was shared."""
+    rng = np.random.default_rng(seed)
+    test_idx = []
+    for cls in (0, 1):
+        members = np.flatnonzero(labels == cls)
+        n_c = members.size
+        want = min(max(int(np.floor(n_c * test_fraction + 0.5)), 1), n_c - 1)
+        test_idx.append(members[rng.permutation(members.size)][:want])
+    return np.sort(np.concatenate(test_idx))
+
+
+def _old_sample_rows(labels, n_rows, seed):
+    """stratified_sample's rows as picked before the picker was shared."""
+    fraction = n_rows / labels.size
+    rng = np.random.default_rng(seed)
+    picked = []
+    for cls in (0, 1):
+        members = np.flatnonzero(labels == cls)
+        want = min(max(int(np.floor(members.size * fraction + 0.5)), 1), members.size)
+        picked.append(members[rng.permutation(members.size)][:want])
+    return np.sort(np.concatenate(picked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 1), min_size=4, max_size=80),
+    test_fraction=st.floats(0.01, 0.99),
+    n_rows=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_and_sample_pick_the_rows_they_picked_before(labels, test_fraction, n_rows, seed):
+    labels = np.array(labels)
+    X = FeatureMatrix(np.arange(labels.size, dtype=float)[:, np.newaxis], ("row",))
+    y = LabelVector(labels)
+    if min(np.sum(labels == 0), np.sum(labels == 1)) >= 2:
+        _, _, X_test, y_test = stratified_split(X, y, test_fraction, seed)
+        want = _old_split_rows(labels, test_fraction, seed)
+        assert np.array_equal(X_test.values[:, 0], want) and np.array_equal(y_test.values, labels[want])
+    if n_rows < labels.size:
+        X_sample, y_sample = stratified_sample(X, y, n_rows, seed)
+        want = _old_sample_rows(labels, n_rows, seed)
+        assert np.array_equal(X_sample.values[:, 0], want)
+        assert np.array_equal(y_sample.values, labels[want])
+
+
+@pytest.mark.parametrize("make", ["select", "split", "sample"])
+def test_row_and_column_picks_hold_no_second_copy(make):
+    # each result is a fresh array that FeatureMatrix keeps without copying
+    rng = np.random.default_rng(12)
+    X = FeatureMatrix(rng.normal(size=(4000, 20)), tuple(f"f{j}" for j in range(20)))
+    y = LabelVector(np.arange(4000) % 2)
+    calls = {
+        "select": lambda: (X.select([f"f{j}" for j in range(0, 20, 2)]),),
+        "split": lambda: stratified_split(X, y, 0.3, seed=1)[::2],
+        "sample": lambda: stratified_sample(X, y, 2000, seed=1)[:1],
+    }
+    tracemalloc.start()
+    try:
+        matrices = calls[make]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(matrix.values.nbytes for matrix in matrices)
+    for matrix in matrices:
+        assert matrix.values.flags.c_contiguous and not matrix.values.flags.writeable

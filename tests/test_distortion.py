@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,30 @@ def test_fit_zero_column_is_singular():
     X = _matrix(np.column_stack([np.arange(4.0), np.zeros(4)]), ("a", "dead"))
     with pytest.raises(SingularMatrixError, match="dead"):
         fit_lsm(X, np.arange(4.0))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-307])
+def test_fit_on_a_column_whose_squares_overflow_or_underflow(scale):
+    # the plain column norm is inf or 0 here; the scaled one gives the fit
+    # of the unscaled column, with that column's coefficient divided by scale
+    rng = np.random.default_rng(3)
+    values = rng.uniform(1.0, 9.0, size=(30, 3))
+    y = rng.normal(size=30)
+    plain = fit_lsm(_matrix(values), y)
+    scaled = fit_lsm(_matrix(values * [1.0, scale, 1.0]), y)
+    assert np.allclose(scaled.beta * [1.0, scale, 1.0], plain.beta, rtol=1e-9)
+    assert scaled.intercept == pytest.approx(plain.intercept, rel=1e-9)
+    assert scaled.residual == pytest.approx(plain.residual, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "scale, problem", [(1e308, "too large for a least-squares fit"), (1e-320, "too small")]
+)
+def test_fit_names_a_column_out_of_range(scale, problem):
+    wide = np.random.default_rng(4).uniform(0.5, 1.7, size=40) * scale
+    values = np.column_stack([np.arange(1.0, 41.0), wide])
+    with pytest.raises(DataValidationError, match=f"column 'wide' holds magnitudes up to .*{problem}"):
+        fit_lsm(_matrix(values, ("a", "wide")), np.sin(np.arange(40.0)))
 
 
 def test_fit_constant_column_collides_with_intercept():
@@ -148,3 +174,20 @@ def test_distortion_round_trip_recovers_input():
     distorted, model = distort(X, y)
     recovered = (distorted.values - model.shift) / model.beta[np.newaxis, :]
     assert np.allclose(recovered, X.values, rtol=1e-9)
+
+
+def test_transform_holds_one_matrix_sized_array():
+    rng = np.random.default_rng(5)
+    X = _matrix(rng.normal(size=(3000, 43)))
+    model = DistortionModel(
+        beta=rng.normal(size=43), intercept=0.3, residual=0.2, fitted_on=X.column_names
+    )
+    tracemalloc.start()
+    try:
+        distorted = transform(X, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.values.nbytes
+    want = X.values * model.beta[np.newaxis, :] + model.shift
+    assert np.array_equal(distorted.values.view(np.uint64), want.view(np.uint64))

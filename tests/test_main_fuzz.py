@@ -56,6 +56,10 @@ _OUT_OF_RANGE = {
     "batch_size": [0, 1_000_000],
 }
 
+# factors that put a numeric cell or column at huge, tiny or subnormal
+# magnitudes, where squares overflow or underflow
+_MAGNITUDES = [1e154, -1e300, 1.7e308, 1e-160, 1e-307, 1e-315, 5e-324]
+
 _HEADER = ["id", "dur", "proto", "sbytes", "ttl", "attack_cat", "label"]
 _NUMERIC = [1, 3, 4]  # dur, sbytes, ttl
 _LABEL = _HEADER.index("label")
@@ -161,7 +165,9 @@ def _mutate_config(data, config):
 def _mutate_csv(data, rows):
     """rows with one mutation; None stands for an empty file."""
     kind = data.draw(
-        st.sampled_from(["ragged", "bad_label", "text", "nan", "empty", "single_class"])
+        st.sampled_from(
+            ["ragged", "bad_label", "text", "nan", "empty", "single_class", "magnitude"]
+        )
     )
     i = data.draw(st.integers(0, len(rows) - 1))
     if kind == "ragged":
@@ -173,6 +179,12 @@ def _mutate_csv(data, rows):
         rows[i][j] = "abc" if kind == "text" else data.draw(st.sampled_from(["nan", "inf", "-inf"]))
     elif kind == "empty":
         return None
+    elif kind == "magnitude":
+        j = data.draw(st.sampled_from(_NUMERIC))
+        factor = data.draw(st.sampled_from(_MAGNITUDES))
+        for row in rows if data.draw(st.booleans()) else [rows[i]]:
+            if row[j] != "abc":  # a cell an earlier mutation made text
+                row[j] = repr(float(row[j]) * factor)
     else:
         label = data.draw(st.sampled_from(["0", "1"]))
         for row in rows:

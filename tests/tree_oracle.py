@@ -1,14 +1,46 @@
 """The per-node tree builder that decision_tree and random_forest used before
 trees were grown in lockstep, kept unchanged as the oracle for the batched
 split search: _best_split and build_tree as they were, and the forest loop
-(the old random_forest.train) as train_forest."""
+(the old random_forest.train) as train_forest. Trees are kept in the records
+they had before every tree of a fit shared one node table: one TreeState per
+tree, with a stored right child, and a ForestState of trees, whose predict
+methods are the reference traversal and vote."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from privids.classifiers.decision_tree import TreeState
-from privids.classifiers.random_forest import ForestState
+
+@dataclass(frozen=True)
+class TreeState:
+    feature: np.ndarray    # split feature per node, -1 at leaves
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray      # majority label per node
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            internal = np.flatnonzero(self.feature[node] >= 0)
+            if internal.size == 0:
+                break
+            current = node[internal]
+            go_left = X[internal, self.feature[current]] <= self.threshold[current]
+            node[internal] = np.where(go_left, self.left[current], self.right[current])
+        return self.label[node].astype(np.int64)
+
+
+@dataclass(frozen=True)
+class ForestState:
+    trees: tuple[TreeState, ...]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        for tree in self.trees:
+            votes += tree.predict(X)
+        return (2 * votes > len(self.trees)).astype(np.int64)
 
 
 def _best_split(values: np.ndarray, labels: np.ndarray):
