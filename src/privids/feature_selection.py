@@ -65,6 +65,13 @@ def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     m = X.m
     centered = X.values - X.values.mean(axis=0, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
+    # A column whose centred squares all underflow has norm 0 without being
+    # constant; it is scaled by its largest magnitude, which the coefficient
+    # does not see. Every other column keeps its plain norm.
+    for j in np.flatnonzero(norms == 0.0):
+        if np.any(X.values[:, j] != X.values[0, j]):
+            centered[:, j] /= np.abs(centered[:, j]).max()
+            norms[j] = np.sqrt(centered[:, j] @ centered[:, j])
     out = np.full((m, m), np.nan)
     np.fill_diagonal(out, 1.0)
     for i in range(m):

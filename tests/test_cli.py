@@ -3,7 +3,10 @@ import errno
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 import weakref
 from collections import Counter
@@ -845,6 +848,23 @@ def test_sha256_verification(tmp_path, small_csv):
         tmp_path, small_csv, dataset={"path": str(small_csv), "sha256": "0" * 64}
     )
     assert main(["select", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["distort", "select"])
+def test_no_sha256_leaves_openssl_unloaded(tmp_path, small_csv, command):
+    # in a fresh interpreter, since pytest itself imports hashlib
+    config = _config_file(tmp_path, small_csv, dataset={"path": str(small_csv), "sha256": None})
+    probe = (
+        "import sys; from privids.cli import main; "
+        f"code = main([{command!r}, '--config', {str(config)!r}]); "
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_pipeline_function_returns_written_paths(tmp_path, small_csv):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import parse_oracle
+import synth_data
 from privids import dataset
 from privids.dataset import (
     FeatureMatrix,
@@ -559,6 +560,23 @@ def test_split_and_sample_pick_the_rows_they_picked_before(labels, test_fraction
         want = _old_sample_rows(labels, n_rows, seed)
         assert np.array_equal(X_sample.values[:, 0], want)
         assert np.array_equal(y_sample.values, labels[want])
+
+
+def test_prepare_holds_the_matrix_once(tmp_path):
+    # the matrix grows one chunk at a time in place, so beyond X and y
+    # ingestion holds a few chunks' worth at once (about 2.7 measured): one
+    # chunk's text, its parsed numbers and its block of floats
+    path = tmp_path / "flows_20000.csv"
+    synth_data.write_csv(path, 20_000, seed=3)
+    tracemalloc.start()
+    try:
+        X, y = prepare(load_csv(path), ["id"], "label", category_column="attack_cat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = dataset._CHUNK_ROWS * X.m * X.values.itemsize
+    assert X.n == 20_000 and X.n > 10 * dataset._CHUNK_ROWS
+    assert peak <= X.values.nbytes + y.values.nbytes + 4 * chunk
 
 
 @pytest.mark.parametrize("make", ["select", "split", "sample"])

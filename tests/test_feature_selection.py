@@ -111,6 +111,26 @@ def test_correlation_matrix_flags_constant_column():
     assert C.constant == ("f1",)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170, 1e-307])
+def test_correlation_of_a_column_whose_squares_underflow(scale):
+    # the copy's centred squares underflow to 0 below about 1e-162; its
+    # coefficient with the original is still 1, and PCC drops it
+    a = np.random.default_rng(5).normal(size=200)
+    C = correlation_matrix(_matrix(np.column_stack([a, a * scale]), ("a", "copy")))
+    assert C.values[0, 1] == C.values[1, 0] == pytest.approx(1.0, abs=1e-12)
+    assert C.constant == ()
+    report = select_by_threshold(C, 0.85)
+    assert report.kept == ("a",) and report.dropped_names == ("copy",)
+
+
+def test_correlation_of_a_tiny_constant_column_stays_undefined():
+    a = np.random.default_rng(5).normal(size=200)
+    tiny = np.full(200, 1e-300)
+    C = correlation_matrix(_matrix(np.column_stack([a, tiny, a * 1e-170]), ("a", "tiny", "copy")))
+    assert np.isnan(C.values[0, 1]) and np.isnan(C.values[1, 2])
+    assert C.constant == ("tiny",)
+
+
 def test_correlation_matrix_needs_two_rows():
     with pytest.raises(DataValidationError):
         correlation_matrix(_matrix([[1, 2]]))
