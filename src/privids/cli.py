@@ -132,7 +132,7 @@ def _write_matrix(fh, matrix: FeatureMatrix):
 
 
 def _verify_sha256(path: str, expected: str):
-    import hashlib  # here, so that a run without sha256 never maps OpenSSL's libcrypto
+    import hashlib  # here, so that privids maps OpenSSL's libcrypto only for this check
 
     digest = hashlib.sha256()
     try:

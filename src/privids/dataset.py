@@ -338,7 +338,7 @@ def prepare(
             for j, (k, column) in enumerate(features):
                 block[:, j] = column.add(cells[k], n + 1)
             parsed = chunk_labels, block
-            del cells  # a later chunk read by numpy does not rebind it
+            del cells, chunk_labels, block  # a later chunk read by numpy does not rebind them
         end = n + len(chunk)
         values.resize((end, len(features)), refcheck=False)
         labels.resize(end, refcheck=False)

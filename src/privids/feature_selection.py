@@ -65,10 +65,12 @@ def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     m = X.m
     centered = X.values - X.values.mean(axis=0, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
-    # A column whose centred squares all underflow has norm 0 without being
-    # constant; it is scaled by its largest magnitude, which the coefficient
-    # does not see. Every other column keeps its plain norm.
-    for j in np.flatnonzero(norms == 0.0):
+    # A column whose centred values are all below sqrt(tiny) has subnormal
+    # squares, so its norm and products lose digits or are 0 although it is
+    # not constant; it is scaled by its largest magnitude, which the
+    # coefficient does not see. Every other column keeps its plain norm.
+    largest = np.maximum(centered.max(axis=0), -centered.min(axis=0))
+    for j in np.flatnonzero(largest < np.sqrt(np.finfo(float).tiny)):
         if np.any(X.values[:, j] != X.values[0, j]):
             centered[:, j] /= np.abs(centered[:, j]).max()
             norms[j] = np.sqrt(centered[:, j] @ centered[:, j])

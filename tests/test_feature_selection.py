@@ -111,10 +111,11 @@ def test_correlation_matrix_flags_constant_column():
     assert C.constant == ("f1",)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170, 1e-307])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 1e-162, 1e-170, 1e-307])
 def test_correlation_of_a_column_whose_squares_underflow(scale):
-    # the copy's centred squares underflow to 0 below about 1e-162; its
-    # coefficient with the original is still 1, and PCC drops it
+    # the copy's centred squares are subnormal below about 1e-154 and 0
+    # below about 1e-162; its coefficient with the original is still 1,
+    # and PCC drops it
     a = np.random.default_rng(5).normal(size=200)
     C = correlation_matrix(_matrix(np.column_stack([a, a * scale]), ("a", "copy")))
     assert C.values[0, 1] == C.values[1, 0] == pytest.approx(1.0, abs=1e-12)
