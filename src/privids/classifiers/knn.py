@@ -24,11 +24,6 @@ class KnnState:
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         k = self.k
-        n_train = self.train_x.shape[0]
-        if k >= n_train:
-            label = 1 if 2 * int(self.train_y.sum()) > n_train else 0
-            return np.full(queries.shape[0], label, dtype=np.int64)
-
         # per-row ranking of ||q - x||^2 only needs x.x - 2 q.x: the q.q term
         # is constant within a row and cannot change order or tie structure
         train_neg2t = -2.0 * self.train_x.T

@@ -151,7 +151,8 @@ def _verify_sha256(path: str, expected: str):
 
 
 # The largest magnitude a feature may hold once parsed and scaled: below it,
-# the sums of squares of correlation, kNN, naive Bayes and the SVM stay finite.
+# the sums of squares of kNN, naive Bayes, the SVM and VD's Frobenius norm
+# stay finite.
 _LARGEST_MAGNITUDE = 1e100
 
 

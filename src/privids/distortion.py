@@ -65,17 +65,13 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
     design = np.column_stack([np.ones(X.n), X.values])
     # Equilibrate columns to unit norm so the rank test measures genuine
     # collinearity rather than disparate feature scales; coefficients are
-    # unscaled afterwards.
+    # unscaled afterwards. Each column is first scaled by the power of two
+    # that brings its largest magnitude into [0.5, 1), which is exact, so the
+    # sum of its squares can neither overflow nor underflow to 0.
+    largest = np.maximum(design.max(axis=0), -design.min(axis=0))
+    exponents = np.frexp(largest)[1]
+    np.ldexp(design, -exponents, out=design)
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    # Where the squares overflowed or underflowed, take the norm again scaled
-    # by the column's largest magnitude; every other column keeps its norm.
-    for j in np.flatnonzero((norms == 0.0) | np.isinf(norms)):
-        largest = np.abs(design[:, j]).max()
-        with np.errstate(over="ignore"):
-            norms[j] = largest * np.linalg.norm(design[:, j] / largest) if largest else 0.0
-    if np.any(np.isinf(norms)):
-        j = int(np.argmax(np.isinf(norms))) - 1
-        raise DataValidationError(_out_of_range(X, j, "too large for a least-squares fit"))
     if np.any(norms == 0.0):
         dead = X.column_names[int(np.argmax(norms[1:] == 0.0))]
         raise SingularMatrixError(f"column '{dead}' is identically zero")
@@ -92,10 +88,13 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
             "remove collinear or constant columns before fitting"
         )
     with np.errstate(over="ignore"):
-        solution = scaled_solution / norms
+        solution = np.ldexp(scaled_solution / norms, -exponents)
     if not np.all(np.isfinite(solution)):
-        j = int(np.argmin(np.isfinite(solution))) - 1
-        raise DataValidationError(_out_of_range(X, j, "too small for its coefficient to be finite"))
+        j = int(np.argmin(np.isfinite(solution)))
+        raise DataValidationError(
+            f"column '{X.column_names[j - 1]}' holds magnitudes up to {largest[j]:.3e}, "
+            "too small for its coefficient to be finite"
+        )
     predicted = np.column_stack([np.ones(X.n), X.values]) @ solution
     residual = float(np.mean((target - predicted) ** 2))
     return DistortionModel(
@@ -104,11 +103,6 @@ def fit_lsm(X: FeatureMatrix, y) -> DistortionModel:
         residual=residual,
         fitted_on=tuple(X.column_names),
     )
-
-
-def _out_of_range(X: FeatureMatrix, j: int, problem: str) -> str:
-    largest = np.abs(X.values[:, j]).max()
-    return f"column '{X.column_names[j]}' holds magnitudes up to {largest:.3e}, {problem}"
 
 
 def transform(X: FeatureMatrix, model: DistortionModel) -> FeatureMatrix:

@@ -57,35 +57,34 @@ def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     """Pairwise Pearson matrix of the columns of X.
 
     Entry (i, j) is the Pearson coefficient of columns i and j; the upper
-    triangle is mirrored so the result is exactly symmetric. Pairs involving
-    a constant column are NaN off the diagonal.
+    triangle is mirrored so the result is exactly symmetric. A column is
+    constant when all its values are equal; pairs involving one are NaN off
+    the diagonal.
     """
     if X.n < 2:
         raise DataValidationError("correlation matrix needs at least 2 rows")
     m = X.m
+    is_constant = X.values.max(axis=0) == X.values.min(axis=0)
     centered = X.values - X.values.mean(axis=0, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
-    # A column whose centred values are all below sqrt(tiny) has subnormal
-    # squares, so its norm and products lose digits or are 0 although it is
-    # not constant; it is scaled by its largest magnitude, which the
-    # coefficient does not see. Every other column keeps its plain norm.
+    # Each column is scaled by a power of two that brings its largest centred
+    # magnitude into [0.5, 1): exact in binary floating point, so wherever the
+    # unscaled squares neither overflow nor underflow the coefficient keeps
+    # its bits, and elsewhere it is still computed from normal numbers.
     largest = np.maximum(centered.max(axis=0), -centered.min(axis=0))
-    for j in np.flatnonzero(largest < np.sqrt(np.finfo(float).tiny)):
-        if np.any(X.values[:, j] != X.values[0, j]):
-            centered[:, j] /= np.abs(centered[:, j]).max()
-            norms[j] = np.sqrt(centered[:, j] @ centered[:, j])
+    np.ldexp(centered, -np.frexp(largest)[1], out=centered)
+    norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
     out = np.full((m, m), np.nan)
     np.fill_diagonal(out, 1.0)
     for i in range(m):
-        if norms[i] == 0.0:
+        if is_constant[i]:
             continue
         for j in range(i + 1, m):
-            if norms[j] == 0.0:
+            if is_constant[j]:
                 continue
             r = float((centered[:, i] @ centered[:, j]) / (norms[i] * norms[j]))
             out[i, j] = r
             out[j, i] = r
-    constant = tuple(name for k, name in enumerate(X.column_names) if norms[k] == 0.0)
+    constant = tuple(name for name, flat in zip(X.column_names, is_constant) if flat)
     return CorrelationMatrix(out, tuple(X.column_names), constant)
 
 

@@ -81,6 +81,15 @@ def test_knn_vote_tie_resolves_to_zero():
     model = fit(ClassifierSpec("knn", {"k": 2}, 0), X, y)
     query = FeatureMatrix(np.array([[0.4]]), X.column_names)
     assert list(predict(model, query).values) == [0]
+    # with k at least the number of training rows, every row votes, so each
+    # query gets the majority of all labels, ties to 0
+    rng = np.random.default_rng(21)
+    for ones, zeros, k, majority in [(4, 2, 6, 1), (3, 4, 7, 0), (4, 4, 8, 0), (5, 2, 30, 1)]:
+        labels = rng.permutation([1] * ones + [0] * zeros)
+        X, y = _data(rng.normal(size=(labels.size, 3)), labels)
+        model = fit(ClassifierSpec("knn", {"k": k}, 0), X, y)
+        queries = FeatureMatrix(rng.normal(size=(40, 3)), X.column_names)
+        assert list(predict(model, queries).values) == [majority] * 40
 
 
 def test_knn_tolerates_single_class():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import scaling_oracle
 from pearson_oracle import UndefinedCorrelationError, pearson
 from privids.dataset import FeatureMatrix
 from privids.errors import DataValidationError
@@ -130,6 +132,31 @@ def test_correlation_of_a_tiny_constant_column_stays_undefined():
     C = correlation_matrix(_matrix(np.column_stack([a, tiny, a * 1e-170]), ("a", "tiny", "copy")))
     assert np.isnan(C.values[0, 1]) and np.isnan(C.values[1, 2])
     assert C.constant == ("tiny",)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 7.7, 1e-5])
+def test_correlation_flags_a_constant_column_whose_mean_is_inexact(value):
+    # the mean of 12,000 copies of these values is not the value itself, so
+    # the centred column is a few ulps rather than 0; it is still constant
+    a = np.random.default_rng(6).normal(size=12_000)
+    flat = np.full(12_000, value)
+    C = correlation_matrix(_matrix(np.column_stack([a, flat]), ("a", "flat")))
+    assert C.constant == ("flat",)
+    assert np.isnan(C.values[0, 1]) and np.isnan(C.values[1, 0])
+    assert dict(rank_features(C))["flat"] is None
+    assert select_by_threshold(C, 0.85).constant_columns == ("flat",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=scaling_oracle.magnitude_matrices())
+def test_correlation_gives_the_bits_of_the_unscaled_matrix(values):
+    # scaling a column by a power of two is exact, so on every magnitude the
+    # unscaled matrix handled, every coefficient keeps its bits
+    X = _matrix(values)
+    C = correlation_matrix(X)
+    expected = scaling_oracle.correlation_matrix(X)
+    assert C.values.tobytes() == expected.values.tobytes()
+    assert C.constant == expected.constant
 
 
 def test_correlation_matrix_needs_two_rows():
