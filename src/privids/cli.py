@@ -14,13 +14,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classifiers, evaluation
+from . import __version__, evaluation
 from .config import PipelineConfig, load_config
 from .dataset import (
     FeatureMatrix,
@@ -390,8 +390,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 1 with one line through
+    main's one except; subparsers are made of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privids",
         description="Correlation-based feature selection, least-squares distortion, "
         "and classifier benchmarking for flow-record CSVs.",
@@ -407,24 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    if args.output is not None:
-        config.output_dir = args.output
-    if args.sample is not None:
-        config.sample_rows = args.sample
+    """config rebuilt, through its own checks, with the flags that were given."""
+    changes = {"output_dir": args.output, "sample_rows": args.sample}
     if args.seed is not None:
-        config.split_seed = args.seed
-        config.sample_seed = args.seed
-        config.classifier_specs = [
-            classifiers.ClassifierSpec(kind=s.kind, hyperparameters=s.hyperparameters, seed=args.seed)
-            for s in config.classifier_specs
-        ]
-    config.validate()
-    return config
+        specs = [replace(s, seed=args.seed) for s in config.classifier_specs]
+        changes.update(split_seed=args.seed, sample_seed=args.seed, classifier_specs=specs)
+    return replace(config, **{k: v for k, v in changes.items() if v is not None})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _apply_overrides(load_config(args.config), args)
         written = COMMANDS[args.command](config)
     except PipelineError as exc:

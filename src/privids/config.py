@@ -76,7 +76,7 @@ def _mapping(value, where: str, allowed) -> dict:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     dataset_path: str
     output_dir: str
@@ -95,9 +95,6 @@ class PipelineConfig:
     timing_repeats: int
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if not (0.0 < self.pcc_threshold <= 1.0):
             raise ConfigError(f"selection.pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
         if not (0.0 < self.test_fraction < 1.0):

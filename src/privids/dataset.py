@@ -147,7 +147,7 @@ def _read(path):
             yield chunk
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = next(reader, None)
             if names is None:

@@ -48,10 +48,6 @@ class SelectionReport:
     ranking: tuple[tuple[str, float | None], ...]
     constant_columns: tuple[str, ...] = field(default=())
 
-    @property
-    def dropped_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dropped)
-
 
 def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     """Pairwise Pearson matrix of the columns of X.
@@ -64,12 +60,16 @@ def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
     if X.n < 2:
         raise DataValidationError("correlation matrix needs at least 2 rows")
     m = X.m
-    is_constant = X.values.max(axis=0) == X.values.min(axis=0)
-    centered = X.values - X.values.mean(axis=0, keepdims=True)
-    # Each column is scaled by a power of two that brings its largest centred
-    # magnitude into [0.5, 1): exact in binary floating point, so wherever the
-    # unscaled squares neither overflow nor underflow the coefficient keeps
-    # its bits, and elsewhere it is still computed from normal numbers.
+    high, low = X.values.max(axis=0), X.values.min(axis=0)
+    is_constant = high == low
+    # Each column is scaled by a power of two that brings its largest
+    # magnitude into [0.5, 1), so its sum cannot overflow, then centred and
+    # scaled again to bring its largest centred magnitude there. Both are
+    # exact in binary floating point, so wherever the unscaled sums and
+    # squares neither overflow nor underflow the coefficient keeps its bits,
+    # and elsewhere it is still computed from normal numbers.
+    centered = np.ldexp(X.values, -np.frexp(np.maximum(high, -low))[1])
+    centered -= centered.mean(axis=0, keepdims=True)
     largest = np.maximum(centered.max(axis=0), -centered.min(axis=0))
     np.ldexp(centered, -np.frexp(largest)[1], out=centered)
     norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))

@@ -247,7 +247,7 @@ def test_criterion_06_unsw_selection_reproduction():
     assert X.n == 175_341, f"expected the 175,341-row training CSV, got {X.n}"
     assert X.m == 42, f"expected 42 feature columns after preparation, got {X.m}"
     selection = select_by_threshold(correlation_matrix(X), 0.85)
-    dropped = set(selection.dropped_names)
+    dropped = {d.name for d in selection.dropped}
     overlap = len(dropped & REFERENCE_DROPPED)
     elapsed = time.perf_counter() - start
     ok = len(dropped) == 17 and overlap >= 14 and elapsed < 120.0

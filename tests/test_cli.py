@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -831,6 +832,58 @@ def test_cli_overrides(tmp_path, small_csv):
         == 0
     )
     assert (override_dir / "selection_report.json").is_file()
+    config_path = _config_file(
+        tmp_path, small_csv, configurations=["baseline"],
+        classifiers=[{"kind": "knn", "seed": 1}, {"kind": "naive_bayes", "seed": 2}],
+    )
+    assert main([
+        "pipeline", "--config", str(config_path),
+        "--output", str(override_dir), "--sample", "200", "--seed", "7",
+    ]) == 0
+    echo = json.loads((override_dir / "manifest.json").read_text())["config"]
+    assert echo["output_dir"] == str(override_dir)
+    assert echo["sample"] == {"rows": 200, "seed": 7}
+    assert echo["split"]["seed"] == 7
+    assert [c["seed"] for c in echo["classifiers"]] == [7, 7]
+    # a flag that is not given leaves the config's value
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert echo["sample"] == {"rows": None, "seed": DEFAULT_SEED}
+    assert [c["seed"] for c in echo["classifiers"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "flags, key", [(["--sample", "0"], "sample.rows"), (["--seed", "-1"], "split.seed")]
+)
+def test_flag_values_meet_the_config_checks(tmp_path, capsys, small_csv, flags, key):
+    assert main(["select", "--config", str(_config_file(tmp_path, small_csv)), *flags]) == 1
+    assert _assert_one_line_error(capsys).startswith(f"error: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["select"], ["select", "--config", "config.yaml", "--sample", "abc"]],
+    ids=["no_subcommand", "unknown_subcommand", "missing_config", "sample_not_an_integer"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert _assert_one_line_error(capsys).startswith("error: privids")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: privids") and err == ""
+
+
+def test_a_loaded_config_cannot_change(tmp_path, small_csv):
+    config = load_config(_config_file(tmp_path, small_csv))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.sample_rows = 10
 
 
 def test_sample_larger_than_dataset_exits_2(tmp_path, small_csv):

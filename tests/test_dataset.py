@@ -67,6 +67,23 @@ def test_load_csv_duplicate_header(tmp_path):
         load_csv(_write(tmp_path, "a,a,b\n1,2,3\n"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["id,a,cat,label\n1,5,dos,0\n2,6,worm,1\n", 'id,a,cat,label\n1,5,"dos, old",0\n2,6,worm,1\n'],
+    ids=["numpy_reader", "csv_reader"],
+)
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path, text):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    plain = prepare(load_csv(_write(tmp_path, text)), ["id"], "label", category_column="cat")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_csv(path)[0] == ("id", "a", "cat", "label")
+    marked = prepare(load_csv(path), ["id"], "label", category_column="cat")
+    assert marked[0].column_names == plain[0].column_names == ("a",)
+    assert marked[0].values.tobytes() == plain[0].values.tobytes()
+    assert marked[1].values.tobytes() == plain[1].values.tobytes()
+
+
 def test_prepare_first_appearance_encoding(tmp_path):
     X, y = prepare(load_csv(_write(tmp_path, "proto,label\ntcp,0\nudp,1\ntcp,0\n")), [], "label")
     assert list(X.values[:, 0]) == [0.0, 1.0, 0.0]

@@ -123,7 +123,7 @@ def test_correlation_of_a_column_whose_squares_underflow(scale):
     assert C.values[0, 1] == C.values[1, 0] == pytest.approx(1.0, abs=1e-12)
     assert C.constant == ()
     report = select_by_threshold(C, 0.85)
-    assert report.kept == ("a",) and report.dropped_names == ("copy",)
+    assert report.kept == ("a",) and tuple(d.name for d in report.dropped) == ("copy",)
 
 
 def test_correlation_of_a_tiny_constant_column_stays_undefined():
@@ -145,6 +145,21 @@ def test_correlation_flags_a_constant_column_whose_mean_is_inexact(value):
     assert np.isnan(C.values[0, 1]) and np.isnan(C.values[1, 0])
     assert dict(rank_features(C))["flat"] is None
     assert select_by_threshold(C, 0.85).constant_columns == ("flat",)
+
+
+@pytest.mark.filterwarnings("error")
+def test_correlation_of_a_column_whose_sum_overflows():
+    # 12,000 values near 1e305 sum past the largest float, so the column is
+    # scaled by a power of two before it is centred; a power-of-two copy of a
+    # column then keeps the bits of that column's coefficients
+    rng = np.random.default_rng(7)
+    a, u = rng.normal(size=12_000), rng.uniform(1, 2, size=12_000)
+    values = np.column_stack([a, u * 1e305, u * 2.0**1013, u])
+    C = correlation_matrix(_matrix(values, ("a", "huge", "copy", "u")))
+    assert np.isfinite(C.values).all() and C.constant == ()
+    assert C.values[0, 2] == C.values[0, 3]
+    assert C.values[0, 1] == pytest.approx(C.values[0, 3], rel=1e-12)
+    assert C.values[1, 3] == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,9 +238,9 @@ def test_select_threshold_one_drops_only_exact_duplicates():
     other = np.array([2.0, 7.0, 1.0, 8.0, 2.5])
     X = _matrix(np.column_stack([base, base.copy(), other]), ("a", "dup", "b"))
     report = select_by_threshold(correlation_matrix(X), 1.0)
-    assert report.dropped_names == ()  # strict comparison: |1.0| is not > 1.0
+    assert report.dropped == ()  # strict comparison: |1.0| is not > 1.0
     looser = select_by_threshold(correlation_matrix(X), 0.9999999)
-    assert looser.dropped_names == ("dup",)
+    assert tuple(d.name for d in looser.dropped) == ("dup",)
 
 
 def test_select_above_max_correlation_drops_nothing():
