@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import FeatureMatrix, LabelVector
+from ..dataset import FeatureMatrix, LabelVector, check_magnitude
 from ..errors import DataValidationError
 from . import decision_tree, knn, naive_bayes, random_forest, svm
 
@@ -88,7 +88,7 @@ class TrainedModel:
 
 def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     """Train one classifier. Both classes must be present except for knn,
-    which tolerates a single class."""
+    which tolerates a single class, and X must pass check_magnitude."""
     hp = spec.resolved()
     if X.n == 0 or X.m == 0:
         raise DataValidationError(f"{spec.kind}: cannot fit an empty matrix")
@@ -99,6 +99,7 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     labels = y.values
     if spec.kind != "knn" and (np.all(labels == 0) or np.all(labels == 1)):
         raise DataValidationError(f"{spec.kind}: training data contains a single class")
+    check_magnitude(X)
     return TrainedModel(
         kind=spec.kind,
         state=_MODULES[spec.kind].train(X.values, labels, hp, spec.seed),
@@ -109,10 +110,12 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
 
 
 def predict(model: TrainedModel, X: FeatureMatrix) -> LabelVector:
-    """Predict one label in {0, 1} per row of X; deterministic."""
+    """Predict one label in {0, 1} per row of X, which must pass
+    check_magnitude; deterministic."""
     if tuple(X.column_names) != model.training_columns:
         raise DataValidationError(
             f"{model.kind}: prediction columns {X.column_names} do not match "
             f"training columns {model.training_columns}"
         )
+    check_magnitude(X)
     return LabelVector(model.state.predict(X.values))

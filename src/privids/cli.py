@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -150,12 +150,6 @@ def _verify_sha256(path: str, expected: str):
         )
 
 
-# The largest magnitude a feature may hold once parsed and scaled: below it,
-# the sums of squares of kNN, naive Bayes, the SVM and VD's Frobenius norm
-# stay finite.
-_LARGEST_MAGNITUDE = 1e100
-
-
 class Stages:
     """What the stages of one run compute, each on first use and then kept,
     so commands that share this object ingest, select and fit each distortion
@@ -181,13 +175,6 @@ class Stages:
         )
         if not X.n:
             raise DataFormatError(f"{config.dataset_path}: header but no data rows")
-        if X.values.size and max(X.values.max(), -X.values.min()) > _LARGEST_MAGNITUDE:
-            largest = np.abs(X.values).max(axis=0)
-            raise DataValidationError(
-                f"column '{X.column_names[np.argmax(largest)]}' holds magnitudes up to "
-                f"{largest.max():.3e}, above the {_LARGEST_MAGNITUDE:.0e} whose squares the "
-                "pipeline can sum; rescale it or set dataset.min_max_scale"
-            )
         if config.sample_rows is not None:
             X, y = stratified_sample(X, y, config.sample_rows, config.sample_seed)
         return X, y
@@ -225,17 +212,6 @@ class Stages:
         return transform(self.original(tag), self.distortion(tag)[0])
 
 
-def _evaluation_payload(report, config: PipelineConfig) -> dict:
-    """The report's fields, with each classifier's metrics flattened into its
-    entry and the split that produced it."""
-    payload = asdict(report)
-    entries = payload.pop("results")
-    for entry in entries:
-        entry.update(entry.pop("metrics"))
-    split = {"test_fraction": config.test_fraction, "seed": config.split_seed}
-    return {**payload, "classifiers": entries, "split": split}
-
-
 def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
     """Write the correlation matrix, the selection report, and the ranking."""
     C, report = (stages or Stages(config)).selection
@@ -244,10 +220,10 @@ def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Pat
             ["feature", *C.column_names],
             ([name, *row] for name, row in zip(C.column_names, C.values.tolist())),
         ),
-        "selection_report.json": {
-            **asdict(report), "ranking": [{"feature": f, "score": v} for f, v in report.ranking]
-        },
-        "pcc_ranking.csv": (["feature", "mean_abs_pcc"], report.ranking),
+        "selection_report.json": report,
+        "pcc_ranking.csv": (
+            ["feature", "mean_abs_pcc"], ([r["feature"], r["score"]] for r in report["ranking"])
+        ),
     }
     return _write(Path(config.output_dir), reports)
 
@@ -258,7 +234,8 @@ def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Pa
     tags = [t for t in config.configurations if t in DISTORTED_TAGS]
     if not tags:
         raise ConfigError(
-            f"distort needs one of {DISTORTED_TAGS} in 'configurations', got {config.configurations}"
+            f"distort needs one of {DISTORTED_TAGS} in 'configurations', "
+            f"got {list(config.configurations)}"
         )
     stages = stages or Stages(config)
     written = []
@@ -290,44 +267,41 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
         matrix = original = stages.original(tag)
         if tag in DISTORTED_TAGS:
             matrix = stages.distorted(tag)
-            privacy[tag] = privacy_report(original.values, matrix.values, stages.distortion(tag)[1])
+            privacy[tag] = privacy_report(original, matrix, stages.distortion(tag)[1])
         split = stratified_split(matrix, y, config.test_fraction, config.split_seed)
         evaluations[tag] = evaluation.run_configuration(
             tag, *split, config.classifier_specs, timing_repeats=config.timing_repeats
         )
         del matrix, split  # so this tag's distorted matrix is gone before the next is built
 
-    reports = {
-        f"evaluation_{tag}.json": _evaluation_payload(report, config)
-        for tag, report in evaluations.items()
-    }
+    split = {"test_fraction": config.test_fraction, "seed": config.split_seed}
+    reports = {f"evaluation_{tag}.json": {**r, "split": split} for tag, r in evaluations.items()}
     for tag, p in privacy.items():
-        reports[f"privacy_{tag}.json"] = {"configuration": tag, **asdict(p)}
+        reports[f"privacy_{tag}.json"] = {"configuration": tag, **p}
 
     if "baseline" in evaluations:
-        comparisons = []
-        for tag, report in evaluations.items():
-            if tag != "baseline":
-                result = evaluation.compare_utility(evaluations["baseline"], report)
-                deltas = [{"classifier": k, "accuracy_delta": d} for k, d in result.deltas]
-                comparisons.append(
-                    {"configuration": tag, "deltas": deltas, "max_abs_delta": result.max_abs_delta}
-                )
-        reports["utility_comparison.json"] = {"baseline": "baseline", "comparisons": comparisons}
+        reports["utility_comparison.json"] = {"baseline": "baseline", "comparisons": [
+            evaluation.compare_utility(evaluations["baseline"], report)
+            for tag, report in evaluations.items() if tag != "baseline"
+        ]}
 
     if privacy:
         reports["privacy_measures.csv"] = (
             ["configuration", "VD", "RP", "RK", "CP", "CK", "Time"],
-            ([tag, p.vd, p.rp, p.rk, p.cp, p.ck, p.distortion_time_s] for tag, p in privacy.items()),
+            (
+                [tag, p["vd"], p["rp"], p["rk"], p["cp"], p["ck"], p["distortion_time_s"]]
+                for tag, p in privacy.items()
+            ),
         )
 
-    header = [f.name for f in fields(evaluation.ConfusionCounts) + fields(evaluation.MetricSet)]
+    columns = (*evaluation.METRICS, "train_time_s", "test_time_s")
     reports["evaluation_summary.csv"] = (
-        ["configuration", "classifier", *header, "train_time_s", "test_time_s"],
+        ["configuration", "classifier", *evaluation.COUNTS, *columns],
         (
-            [tag, r.kind, *astuple(r.confusion), *astuple(r.metrics), r.train_time_s, r.test_time_s]
+            [tag, r["kind"], *(r["confusion"][k] for k in evaluation.COUNTS),
+             *(r[k] for k in columns)]
             for tag, report in evaluations.items()
-            for r in report.results
+            for r in report["classifiers"]
         ),
     )
     return _write(Path(config.output_dir), reports)
@@ -418,7 +392,7 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     """config rebuilt, through its own checks, with the flags that were given."""
     changes = {"output_dir": args.output, "sample_rows": args.sample}
     if args.seed is not None:
-        specs = [replace(s, seed=args.seed) for s in config.classifier_specs]
+        specs = tuple(replace(s, seed=args.seed) for s in config.classifier_specs)
         changes.update(split_seed=args.seed, sample_seed=args.seed, classifier_specs=specs)
     return replace(config, **{k: v for k, v in changes.items() if v is not None})
 

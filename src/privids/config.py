@@ -1,6 +1,6 @@
 """Pipeline configuration: a single YAML file with strict key checking.
 
-One table, SCHEMA, lists every key but `classifiers` with its type and
+One table, SCHEMA, lists every key but `classifiers` with its YAML type and
 default; loading, type checks and the run manifest's echo of the full
 effective configuration all read it. Unknown keys are rejected at every
 nesting level.
@@ -8,7 +8,6 @@ nesting level.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 
@@ -55,7 +54,8 @@ _TYPE_NAMES = {
 
 def _typed(value, kind, where: str):
     """value if it has the type kind, else a ConfigError naming where. bool is
-    never a number, an int under a float key becomes a float, a list is copied."""
+    never a number, an int under a float key becomes a float, and a list of
+    strings becomes a tuple, so a loaded config cannot change in place."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind == list[str]:
@@ -64,7 +64,7 @@ def _typed(value, kind, where: str):
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     if not ok:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return list(value) if isinstance(value, list) else value
+    return tuple(value) if kind == list[str] else value
 
 
 def _mapping(value, where: str, allowed) -> dict:
@@ -80,7 +80,7 @@ def _mapping(value, where: str, allowed) -> dict:
 class PipelineConfig:
     dataset_path: str
     output_dir: str
-    drop_columns: list[str]
+    drop_columns: tuple[str, ...]
     label_column: str
     category_column: str | None
     sha256: str | None
@@ -90,8 +90,8 @@ class PipelineConfig:
     split_seed: int
     sample_rows: int | None
     sample_seed: int
-    classifier_specs: list[ClassifierSpec]
-    configurations: list[str]
+    classifier_specs: tuple[ClassifierSpec, ...]
+    configurations: tuple[str, ...]
     timing_repeats: int
 
     def __post_init__(self):
@@ -135,7 +135,7 @@ class PipelineConfig:
         }
         for section, key, name, _, _ in SCHEMA:
             (out.setdefault(section, {}) if section else out)[key] = getattr(self, name)
-        return copy.deepcopy(out)
+        return out
 
 
 def load_config(path) -> PipelineConfig:
@@ -172,4 +172,4 @@ def load_config(path) -> PipelineConfig:
         hyperparameters = _typed(entry.get("hyperparameters"), dict | None, f"{where}.hyperparameters")
         seed = _typed(entry.get("seed", DEFAULT_SEED), int, f"{where}.seed")
         specs.append(ClassifierSpec(kind, hyperparameters or {}, seed))
-    return PipelineConfig(classifier_specs=specs, **fields)
+    return PipelineConfig(classifier_specs=tuple(specs), **fields)

@@ -34,6 +34,11 @@ from .errors import DataFormatError, DataValidationError
 # slower than at 8,192.
 _CHUNK_ROWS = 1024
 
+# The largest magnitude a feature may hold where the classifiers and the
+# privacy measures take it: below it, the sums of squares of kNN, naive
+# Bayes, the SVM and VD's Frobenius norm stay finite.
+LARGEST_MAGNITUDE = 1e100
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -82,6 +87,20 @@ class FeatureMatrix:
         keep = [i for i, c in enumerate(self.column_names) if c in wanted]
         values = _frozen(np.take(self.values, keep, axis=1))
         return FeatureMatrix(values, tuple(self.column_names[i] for i in keep))
+
+
+def check_magnitude(M) -> None:
+    """Raise DataValidationError naming the column of M (a FeatureMatrix or a
+    2-D array) that holds a magnitude above LARGEST_MAGNITUDE."""
+    values = np.asarray(getattr(M, "values", M), dtype=float)
+    if values.size and max(values.max(), -values.min()) > LARGEST_MAGNITUDE:
+        largest = np.abs(values).max(axis=0)
+        names = getattr(M, "column_names", range(largest.size))
+        raise DataValidationError(
+            f"column '{names[np.argmax(largest)]}' holds magnitudes up to "
+            f"{largest.max():.3e}, above the {LARGEST_MAGNITUDE:.0e} whose squares the "
+            "pipeline can sum; rescale it or set dataset.min_max_scale"
+        )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ features by redundancy strength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +29,6 @@ class CorrelationMatrix:
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class DropRecord:
-    name: str
-    against: str
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    """Outcome of threshold dropping plus the mean-|PCC| ranking."""
-
-    kept: tuple[str, ...]
-    dropped: tuple[DropRecord, ...]
-    threshold: float
-    ranking: tuple[tuple[str, float | None], ...]
-    constant_columns: tuple[str, ...] = field(default=())
 
 
 def correlation_matrix(X: FeatureMatrix) -> CorrelationMatrix:
@@ -109,8 +91,9 @@ def rank_features(C: CorrelationMatrix) -> list[tuple[str, float | None]]:
     return [scores[i] for i in order]
 
 
-def select_by_threshold(C: CorrelationMatrix, threshold: float) -> SelectionReport:
-    """Greedy left-to-right threshold dropping in original column order.
+def select_by_threshold(C: CorrelationMatrix, threshold: float) -> dict:
+    """Greedy left-to-right threshold dropping in original column order,
+    with the mean-|PCC| ranking: the selection report as its JSON holds it.
 
     A feature is dropped iff its absolute correlation with some already-kept
     earlier feature strictly exceeds the threshold; the first such kept
@@ -120,7 +103,7 @@ def select_by_threshold(C: CorrelationMatrix, threshold: float) -> SelectionRepo
     if not (0.0 < threshold <= 1.0):
         raise DataValidationError(f"threshold must be in (0, 1], got {threshold}")
     kept: list[int] = []
-    dropped: list[DropRecord] = []
+    dropped: list[dict] = []
     for j in range(C.m):
         trigger = None
         for k in kept:
@@ -131,24 +114,22 @@ def select_by_threshold(C: CorrelationMatrix, threshold: float) -> SelectionRepo
         if trigger is None:
             kept.append(j)
         else:
-            dropped.append(
-                DropRecord(
-                    name=C.column_names[j],
-                    against=C.column_names[trigger],
-                    coefficient=float(C.values[j, trigger]),
-                )
-            )
-    return SelectionReport(
-        kept=tuple(C.column_names[i] for i in kept),
-        dropped=tuple(dropped),
-        threshold=float(threshold),
-        ranking=tuple(rank_features(C)),
-        constant_columns=C.constant,
-    )
+            dropped.append({
+                "name": C.column_names[j],
+                "against": C.column_names[trigger],
+                "coefficient": float(C.values[j, trigger]),
+            })
+    return {
+        "kept": [C.column_names[i] for i in kept],
+        "dropped": dropped,
+        "threshold": float(threshold),
+        "ranking": [{"feature": f, "score": v} for f, v in rank_features(C)],
+        "constant_columns": list(C.constant),
+    }
 
 
-def apply_selection(X: FeatureMatrix, report: SelectionReport) -> FeatureMatrix:
-    """Restrict X to the kept columns, preserving original relative order."""
-    if not report.kept:
+def apply_selection(X: FeatureMatrix, report: dict) -> FeatureMatrix:
+    """Restrict X to the report's kept columns, preserving original relative order."""
+    if not report["kept"]:
         raise DataValidationError("selection kept no features")
-    return X.select(list(report.kept))
+    return X.select(report["kept"])

@@ -9,26 +9,10 @@ measure deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .dataset import check_magnitude
 from .errors import DataValidationError
-
-
-@dataclass(frozen=True)
-class PrivacyReport:
-    """One row of privacy measures plus the distortion wall time."""
-
-    vd: float
-    rp: float
-    rk: float
-    cp: float
-    ck: float
-    distortion_time_s: float
-    n: int
-    m: int
-    rp_sum: float  # unnormalized total rank displacement, exported alongside
 
 
 def _as_2d(M) -> np.ndarray:
@@ -90,21 +74,24 @@ def feature_rank_change(X, TX) -> tuple[float, float]:
     return cp, ck
 
 
-def privacy_report(X, TX, elapsed: float) -> PrivacyReport:
-    """Aggregate the five measures plus timing and matrix dimensions."""
+def privacy_report(X, TX, elapsed: float) -> dict:
+    """The five measures, timing, dimensions and rp_sum (the unnormalized
+    total rank displacement); each matrix must pass check_magnitude."""
     x = _as_2d(X)
     tx = _as_2d(TX)
     _check_same_shape(x, tx)
+    check_magnitude(X)
+    check_magnitude(TX)
     rank_diff = np.abs(rank_elements(x) - rank_elements(tx))
     cp, ck = feature_rank_change(x, tx)
-    return PrivacyReport(
-        vd=value_difference(x, tx),
-        rp=float(rank_diff.mean()),
-        rk=float((rank_diff == 0).mean()),
-        cp=cp,
-        ck=ck,
-        distortion_time_s=float(elapsed),
-        n=x.shape[0],
-        m=x.shape[1],
-        rp_sum=float(rank_diff.sum()),
-    )
+    return {
+        "vd": value_difference(x, tx),
+        "rp": float(rank_diff.mean()),
+        "rk": float((rank_diff == 0).mean()),
+        "cp": cp,
+        "ck": ck,
+        "distortion_time_s": float(elapsed),
+        "n": x.shape[0],
+        "m": x.shape[1],
+        "rp_sum": float(rank_diff.sum()),
+    }

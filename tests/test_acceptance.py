@@ -106,16 +106,16 @@ def test_criterion_02_rank_law_of_the_transform():
     expected_rp = n_neg * reversal_sum / (n * m)
     elapsed = time.perf_counter() - start
     ok = (
-        positive_report.rp == 0.0
-        and positive_report.rk == 1.0
-        and mixed_report.rk == expected_rk
-        and mixed_report.rp == expected_rp
+        positive_report["rp"] == 0.0
+        and positive_report["rk"] == 1.0
+        and mixed_report["rk"] == expected_rk
+        and mixed_report["rp"] == expected_rp
         and elapsed < 5.0
     )
     _report(
         2,
         ok,
-        f"all-positive betas gave (RP, RK)=({positive_report.rp}, {positive_report.rk}); "
+        f"all-positive betas gave (RP, RK)=({positive_report['rp']}, {positive_report['rk']}); "
         f"mixed signs matched analytic reversal RK={expected_rk:.6f} RP={expected_rp:.6f} "
         f"({elapsed:.2f}s)",
     )
@@ -176,14 +176,14 @@ def test_criterion_04_privacy_metric_identity_suite():
     rng = np.random.default_rng(1004)
     X = rng.integers(1, 500, size=(80, 6)).astype(float)
     identity = privacy_report(X, X.copy(), 0.0)
-    identity_ok = (identity.vd, identity.rp, identity.rk, identity.cp, identity.ck) == (
-        0.0, 0.0, 1.0, 0.0, 1.0,
-    )
+    identity_ok = (
+        identity["vd"], identity["rp"], identity["rk"], identity["cp"], identity["ck"]
+    ) == (0.0, 0.0, 1.0, 0.0, 1.0)
 
     TX = X + rng.normal(size=X.shape) * 10
-    base_vd = privacy_report(X, TX, 0.0).vd
+    base_vd = privacy_report(X, TX, 0.0)["vd"]
     scaling_err = max(
-        abs(privacy_report(X, X + c * (TX - X), 0.0).vd - abs(c) * base_vd)
+        abs(privacy_report(X, X + c * (TX - X), 0.0)["vd"] - abs(c) * base_vd)
         for c in (-2.0, -0.5, 0.25, 1.5)
     )
 
@@ -193,11 +193,11 @@ def test_criterion_04_privacy_metric_identity_suite():
     perm = rng.permutation(70)
     after = privacy_report(Xi[perm], TXi[perm], 0.0)
     invariant_ok = (
-        abs(after.vd - before.vd) <= 1e-12
-        and after.rp == before.rp
-        and after.rk == before.rk
-        and after.cp == before.cp
-        and after.ck == before.ck
+        abs(after["vd"] - before["vd"]) <= 1e-12
+        and after["rp"] == before["rp"]
+        and after["rk"] == before["rk"]
+        and after["cp"] == before["cp"]
+        and after["ck"] == before["ck"]
     )
     elapsed = time.perf_counter() - start
     ok = identity_ok and scaling_err <= 1e-9 and invariant_ok and elapsed < 5.0
@@ -247,7 +247,7 @@ def test_criterion_06_unsw_selection_reproduction():
     assert X.n == 175_341, f"expected the 175,341-row training CSV, got {X.n}"
     assert X.m == 42, f"expected 42 feature columns after preparation, got {X.m}"
     selection = select_by_threshold(correlation_matrix(X), 0.85)
-    dropped = {d.name for d in selection.dropped}
+    dropped = {d["name"] for d in selection["dropped"]}
     overlap = len(dropped & REFERENCE_DROPPED)
     elapsed = time.perf_counter() - start
     ok = len(dropped) == 17 and overlap >= 14 and elapsed < 120.0
@@ -322,14 +322,14 @@ def utility_runs(sample_10k):
         "distortion_time_full": statistics.median(distort_times["full"]),
         "distortion_time_selected": statistics.median(distort_times["selected"]),
         "elapsed": time.perf_counter() - start,
-        "kept": len(selection.kept),
+        "kept": len(selection["kept"]),
     }
 
 
 def test_criterion_07_utility_preservation(utility_runs):
     reports = utility_runs["reports"]
-    base = {r.kind: r.metrics.accuracy for r in reports["baseline"].results}
-    after = {r.kind: r.metrics.accuracy for r in reports["pcc_lsm"].results}
+    base = {r["kind"]: r["accuracy"] for r in reports["baseline"]["classifiers"]}
+    after = {r["kind"]: r["accuracy"] for r in reports["pcc_lsm"]["classifiers"]}
     deltas = {k: after[k] - base[k] for k in base}
     worst = max(abs(d) for d in deltas.values())
     summary = ", ".join(f"{k}:{base[k]:.3f}->{after[k]:.3f}" for k in base)
@@ -379,24 +379,24 @@ def test_criterion_09_privacy_directionality_full_csv():
     selected_report = privacy_report(X_selected.values, distorted_selected.values, time_selected)
 
     vd_ok = (
-        abs(full_report.vd - REFERENCE_VD) <= VD_TOLERANCE
-        and abs(selected_report.vd - REFERENCE_VD) <= VD_TOLERANCE
+        abs(full_report["vd"] - REFERENCE_VD) <= VD_TOLERANCE
+        and abs(selected_report["vd"] - REFERENCE_VD) <= VD_TOLERANCE
     )
     ordering_ok = (
-        selected_report.rp < full_report.rp
-        and selected_report.cp < full_report.cp
-        and selected_report.rk > full_report.rk
+        selected_report["rp"] < full_report["rp"]
+        and selected_report["cp"] < full_report["cp"]
+        and selected_report["rk"] > full_report["rk"]
     )
     elapsed = time.perf_counter() - start
     ok = vd_ok and ordering_ok and elapsed < 900.0
     _report(
         9,
         ok,
-        f"VD lsm={full_report.vd:.3f} pcc_lsm={selected_report.vd:.3f} (target "
+        f"VD lsm={full_report['vd']:.3f} pcc_lsm={selected_report['vd']:.3f} (target "
         f"{REFERENCE_VD}±{VD_TOLERANCE}); want lower RP/CP and higher RK after selection: "
-        f"RP {full_report.rp:.1f}->{selected_report.rp:.1f}, "
-        f"CP {full_report.cp:.2f}->{selected_report.cp:.2f}, "
-        f"RK {full_report.rk:.3f}->{selected_report.rk:.3f} ({elapsed:.0f}s)",
+        f"RP {full_report['rp']:.1f}->{selected_report['rp']:.1f}, "
+        f"CP {full_report['cp']:.2f}->{selected_report['cp']:.2f}, "
+        f"RK {full_report['rk']:.3f}->{selected_report['rk']:.3f} ({elapsed:.0f}s)",
     )
 
 

@@ -366,6 +366,22 @@ def test_predict_rejects_column_mismatch():
         predict(model, other)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_and_predict_reject_a_column_too_large_to_square(kind):
+    # the squares of kNN's distances, naive Bayes' variances and the SVM's
+    # dot products overflowed to inf, with only a RuntimeWarning
+    rng = np.random.default_rng(11)
+    X, y = _data(rng.normal(size=(40, 3)), np.arange(40) % 2)
+    huge = FeatureMatrix(X.values * [1.0, 1e154, 1.0], X.column_names)
+    spec = ClassifierSpec(kind, {"n_trees": 3} if kind == "random_forest" else {}, 0)
+    message = r"column 'f1' holds magnitudes up to \d\.\d{3}e\+154, above the 1e\+100 "
+    with pytest.raises(DataValidationError, match=message):
+        fit(spec, huge, y)
+    with pytest.raises(DataValidationError, match=message):
+        predict(fit(spec, X, y), huge)
+
+
 def test_fit_rejects_empty_and_tiny_input():
     X, y = _data([[0.0]], [0])
     with pytest.raises(DataValidationError, match="at least 2"):

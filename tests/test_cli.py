@@ -68,7 +68,7 @@ def test_load_config_defaults(tmp_path, small_csv):
     assert config.pcc_threshold == 0.85
     assert config.test_fraction == 0.3
     assert config.split_seed == 42
-    assert config.drop_columns == ["id"]
+    assert config.drop_columns == ("id",)
     assert config.category_column == "attack_cat"
     assert [s.kind for s in config.classifier_specs] == ["knn"]
     echoed = config.echo()
@@ -197,7 +197,7 @@ def _has_declared_type(value, kind) -> bool:
     if value is None:
         return type(None) in typing.get_args(kind)
     if kind == list[str]:
-        return type(value) is list and all(type(v) is str for v in value)
+        return type(value) is tuple and all(type(v) is str for v in value)
     return type(value) in (typing.get_args(kind) or (kind,))
 
 
@@ -228,7 +228,7 @@ def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row
         return
     loaded = getattr(config, name)
     assert _has_declared_type(loaded, kind)
-    assert loaded == value
+    assert loaded == (tuple(value) if kind == list[str] else value)
 
 
 def test_shipped_config_documents_every_key_with_its_default():
@@ -480,6 +480,17 @@ def test_a_column_too_large_to_square_exits_2_naming_it(tmp_path, small_csv, cap
     err = _assert_one_line_error(capsys)
     assert err.startswith("error: column 'dur' holds magnitudes up to ")
     assert "above the 1e+100 whose squares the pipeline can sum" in err
+
+
+def test_a_column_too_large_to_square_still_selects_and_distorts(tmp_path, small_csv, capsys):
+    # selection and the least-squares fit scale each column by a power of
+    # two, so only the classifiers and the privacy measures reject it
+    data = _scaled_column(small_csv, tmp_path / "flows.csv", "dur", 1e154)
+    config = _config_file(tmp_path, data, configurations=["lsm_only", "pcc_lsm"])
+    for command in ("select", "distort"):
+        assert main([command, "--config", str(config)]) == 0
+    distorted = np.loadtxt(tmp_path / "out" / "distorted_lsm_only.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(distorted).all()
 
 
 def test_a_tiny_column_distorts_as_its_unscaled_self(tmp_path, small_csv):
@@ -884,6 +895,13 @@ def test_a_loaded_config_cannot_change(tmp_path, small_csv):
     config = load_config(_config_file(tmp_path, small_csv))
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.sample_rows = 10
+
+
+@pytest.mark.parametrize("name", ["drop_columns", "configurations", "classifier_specs"])
+def test_a_loaded_configs_sequences_cannot_change_in_place(tmp_path, small_csv, name):
+    config = load_config(_config_file(tmp_path, small_csv))
+    with pytest.raises(AttributeError):
+        getattr(config, name).append(getattr(config, name)[0])
 
 
 def test_sample_larger_than_dataset_exits_2(tmp_path, small_csv):

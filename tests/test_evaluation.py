@@ -8,7 +8,7 @@ from privids.classifiers import ClassifierSpec
 from privids.dataset import FeatureMatrix, LabelVector
 from privids.errors import DataValidationError
 from privids.evaluation import (
-    ConfusionCounts,
+    COUNTS,
     compare_utility,
     confusion,
     median_time,
@@ -24,15 +24,15 @@ def _labels(values):
 
 def test_confusion_hand_case():
     c = confusion(_labels([1, 1, 0, 0]), _labels([1, 0, 0, 1]))
-    assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-    assert c.total == 4
+    assert (c["tp"], c["fn"], c["fp"], c["tn"]) == (1, 1, 1, 1)
+    assert sum(c.values()) == 4
 
 
 def test_confusion_perfect_prediction():
     y = _labels([1, 0, 1, 1, 0])
     c = confusion(y, y)
-    assert c.fn == 0 and c.fp == 0
-    assert c.tp == 3 and c.tn == 2
+    assert c["fn"] == 0 and c["fp"] == 0
+    assert c["tp"] == 3 and c["tn"] == 2
 
 
 def test_confusion_matches_loop_oracle():
@@ -50,7 +50,7 @@ def test_confusion_matches_loop_oracle():
             fp += 1
         else:
             tn += 1
-    assert (c.tp, c.fn, c.fp, c.tn) == (tp, fn, fp, tn)
+    assert (c["tp"], c["fn"], c["fp"], c["tn"]) == (tp, fn, fp, tn)
 
 
 def test_confusion_length_mismatch():
@@ -59,37 +59,37 @@ def test_confusion_length_mismatch():
 
 
 def test_metrics_all_half():
-    m = metrics(ConfusionCounts(tp=1, fn=1, fp=1, tn=1))
-    assert m.recall == m.precision == m.specificity == m.f_score == m.accuracy == 0.5
+    m = metrics({"tp": 1, "fn": 1, "fp": 1, "tn": 1})
+    assert m["recall"] == m["precision"] == m["specificity"] == m["f_score"] == m["accuracy"] == 0.5
 
 
 def test_metrics_undefined_recall_when_no_positives():
-    m = metrics(ConfusionCounts(tp=0, fn=0, fp=0, tn=5))
-    assert m.recall is None
-    assert m.precision is None
-    assert m.specificity == 1.0
-    assert m.f_score is None
-    assert m.accuracy == 1.0
+    m = metrics({"tp": 0, "fn": 0, "fp": 0, "tn": 5})
+    assert m["recall"] is None
+    assert m["precision"] is None
+    assert m["specificity"] == 1.0
+    assert m["f_score"] is None
+    assert m["accuracy"] == 1.0
 
 
 def test_metrics_undefined_f_score_on_zero_sum():
-    m = metrics(ConfusionCounts(tp=0, fn=3, fp=2, tn=5))
-    assert m.recall == 0.0 and m.precision == 0.0
-    assert m.f_score is None
+    m = metrics({"tp": 0, "fn": 3, "fp": 2, "tn": 5})
+    assert m["recall"] == 0.0 and m["precision"] == 0.0
+    assert m["f_score"] is None
 
 
 def test_metrics_hand_arithmetic():
-    m = metrics(ConfusionCounts(tp=3, fn=1, fp=2, tn=4))
-    assert m.recall == pytest.approx(3 / 4)
-    assert m.precision == pytest.approx(3 / 5)
-    assert m.specificity == pytest.approx(4 / 6)
-    assert m.f_score == pytest.approx(2 * (3 / 5) * (3 / 4) / (3 / 5 + 3 / 4))
-    assert m.accuracy == pytest.approx(7 / 10)
+    m = metrics({"tp": 3, "fn": 1, "fp": 2, "tn": 4})
+    assert m["recall"] == pytest.approx(3 / 4)
+    assert m["precision"] == pytest.approx(3 / 5)
+    assert m["specificity"] == pytest.approx(4 / 6)
+    assert m["f_score"] == pytest.approx(2 * (3 / 5) * (3 / 4) / (3 / 5 + 3 / 4))
+    assert m["accuracy"] == pytest.approx(7 / 10)
 
 
 def test_metrics_need_rows():
     with pytest.raises(DataValidationError):
-        metrics(ConfusionCounts(0, 0, 0, 0))
+        metrics(dict.fromkeys(COUNTS, 0))
 
 
 def test_class_swap_exchanges_counts_and_metrics():
@@ -98,23 +98,23 @@ def test_class_swap_exchanges_counts_and_metrics():
     pred = rng.integers(0, 2, 500)
     direct = confusion(_labels(truth), _labels(pred))
     swapped = confusion(_labels(1 - truth), _labels(1 - pred))
-    assert (swapped.tp, swapped.tn, swapped.fp, swapped.fn) == (
-        direct.tn, direct.tp, direct.fn, direct.fp,
+    assert (swapped["tp"], swapped["tn"], swapped["fp"], swapped["fn"]) == (
+        direct["tn"], direct["tp"], direct["fn"], direct["fp"],
     )
     m_direct = metrics(direct)
     m_swapped = metrics(swapped)
-    assert m_swapped.recall == pytest.approx(m_direct.specificity)
-    assert m_swapped.specificity == pytest.approx(m_direct.recall)
-    assert m_swapped.accuracy == pytest.approx(m_direct.accuracy)
+    assert m_swapped["recall"] == pytest.approx(m_direct["specificity"])
+    assert m_swapped["specificity"] == pytest.approx(m_direct["recall"])
+    assert m_swapped["accuracy"] == pytest.approx(m_direct["accuracy"])
 
 
 def test_accuracy_identity_on_random_counts():
     rng = np.random.default_rng(31)
     for _ in range(50):
         tp, fn, fp, tn = (int(v) for v in rng.integers(1, 50, 4))
-        m = metrics(ConfusionCounts(tp, fn, fp, tn))
-        reconstructed = (m.recall * (tp + fn) + m.specificity * (tn + fp)) / (tp + fn + fp + tn)
-        assert m.accuracy == pytest.approx(reconstructed, abs=1e-12)
+        m = metrics(dict(zip(COUNTS, (tp, fn, fp, tn))))
+        reconstructed = (m["recall"] * (tp + fn) + m["specificity"] * (tn + fp)) / (tp + fn + fp + tn)
+        assert m["accuracy"] == pytest.approx(reconstructed, abs=1e-12)
 
 
 def _toy_split():
@@ -129,13 +129,13 @@ def test_run_configuration_single_knn():
     report = run_configuration(
         "baseline", *_toy_split(), [ClassifierSpec("knn", {"k": 1}, 0)], timing_repeats=1
     )
-    assert report.configuration == "baseline"
-    assert len(report.results) == 1
-    result = report.results[0]
-    assert result.metrics.accuracy == 1.0
-    assert result.metrics.recall == 1.0
-    assert result.train_time_s >= 0.0 and result.test_time_s >= 0.0
-    assert report.n_train == 4 and report.n_test == 2
+    assert report["configuration"] == "baseline"
+    assert len(report["classifiers"]) == 1
+    result = report["classifiers"][0]
+    assert result["accuracy"] == 1.0
+    assert result["recall"] == 1.0
+    assert result["train_time_s"] >= 0.0 and result["test_time_s"] >= 0.0
+    assert report["n_train"] == 4 and report["n_test"] == 2
 
 
 def test_run_configuration_five_defaults_on_separable_data():
@@ -150,8 +150,8 @@ def test_run_configuration_five_defaults_on_separable_data():
     report = run_configuration(
         "baseline", X_train, y_train, X_test, y_test, specs, timing_repeats=1
     )
-    for result in report.results:
-        assert result.metrics.accuracy >= 0.95, result.kind
+    for result in report["classifiers"]:
+        assert result["accuracy"] >= 0.95, result["kind"]
 
 
 def test_run_configuration_validates_inputs():
@@ -167,38 +167,36 @@ def _report_with_accuracies(tag, accuracies):
     base = run_configuration(tag, *split, specs, timing_repeats=1)
     results = []
     for kind, acc in accuracies.items():
-        r = base.results[0]
-        counts = ConfusionCounts(tp=int(acc * 100), fn=100 - int(acc * 100), fp=0, tn=0)
-        results.append(
-            type(r)(
-                kind=kind,
-                hyperparameters=r.hyperparameters,
-                seed=r.seed,
-                confusion=counts,
-                metrics=metrics(counts),
-                train_time_s=0.0,
-                test_time_s=0.0,
-            )
-        )
-    return type(base)(configuration=tag, results=tuple(results), n_train=4, n_test=100)
+        r = base["classifiers"][0]
+        counts = {"tp": int(acc * 100), "fn": 100 - int(acc * 100), "fp": 0, "tn": 0}
+        results.append({
+            "kind": kind,
+            "hyperparameters": r["hyperparameters"],
+            "seed": r["seed"],
+            "confusion": counts,
+            **metrics(counts),
+            "train_time_s": 0.0,
+            "test_time_s": 0.0,
+        })
+    return {"configuration": tag, "classifiers": results, "n_train": 4, "n_test": 100}
 
 
 def test_compare_utility_identical_reports():
     before = _report_with_accuracies("baseline", {"knn": 0.9, "svm": 0.8})
     after = _report_with_accuracies("pcc_lsm", {"knn": 0.9, "svm": 0.8})
     cmp_result = compare_utility(before, after)
-    assert all(delta == 0.0 for _, delta in cmp_result.deltas)
-    assert cmp_result.max_abs_delta == 0.0
+    assert all(d["accuracy_delta"] == 0.0 for d in cmp_result["deltas"])
+    assert cmp_result["max_abs_delta"] == 0.0
 
 
 def test_compare_utility_reports_single_improvement():
     before = _report_with_accuracies("baseline", {"knn": 0.90, "svm": 0.80})
     after = _report_with_accuracies("pcc_lsm", {"knn": 0.92, "svm": 0.80})
     cmp_result = compare_utility(before, after)
-    deltas = dict(cmp_result.deltas)
+    deltas = {d["classifier"]: d["accuracy_delta"] for d in cmp_result["deltas"]}
     assert deltas["knn"] == pytest.approx(0.02, abs=1e-9)
     assert deltas["svm"] == pytest.approx(0.0, abs=1e-9)
-    assert cmp_result.max_abs_delta == pytest.approx(0.02, abs=1e-9)
+    assert cmp_result["max_abs_delta"] == pytest.approx(0.02, abs=1e-9)
 
 
 def test_compare_utility_rejects_mismatched_sets():

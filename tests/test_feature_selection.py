@@ -123,7 +123,7 @@ def test_correlation_of_a_column_whose_squares_underflow(scale):
     assert C.values[0, 1] == C.values[1, 0] == pytest.approx(1.0, abs=1e-12)
     assert C.constant == ()
     report = select_by_threshold(C, 0.85)
-    assert report.kept == ("a",) and tuple(d.name for d in report.dropped) == ("copy",)
+    assert report["kept"] == ["a"] and [d["name"] for d in report["dropped"]] == ["copy"]
 
 
 def test_correlation_of_a_tiny_constant_column_stays_undefined():
@@ -144,7 +144,7 @@ def test_correlation_flags_a_constant_column_whose_mean_is_inexact(value):
     assert C.constant == ("flat",)
     assert np.isnan(C.values[0, 1]) and np.isnan(C.values[1, 0])
     assert dict(rank_features(C))["flat"] is None
-    assert select_by_threshold(C, 0.85).constant_columns == ("flat",)
+    assert select_by_threshold(C, 0.85)["constant_columns"] == ["flat"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -217,10 +217,10 @@ def test_select_drops_second_of_correlated_pair():
     pair = base + rng.normal(0, 0.1, 10)  # |PCC| > 0.85 with base
     X = _matrix(np.column_stack([base, pair]), ("first", "second"))
     report = select_by_threshold(correlation_matrix(X), 0.85)
-    assert report.kept == ("first",)
-    assert report.dropped[0].name == "second"
-    assert report.dropped[0].against == "first"
-    assert abs(report.dropped[0].coefficient) > 0.85
+    assert report["kept"] == ["first"]
+    assert report["dropped"][0]["name"] == "second"
+    assert report["dropped"][0]["against"] == "first"
+    assert abs(report["dropped"][0]["coefficient"]) > 0.85
 
 
 def test_select_keeps_independent_columns():
@@ -229,8 +229,8 @@ def test_select_keeps_independent_columns():
     C = correlation_matrix(X)
     assert np.all(np.abs(C.values[~np.eye(3, dtype=bool)]) < 0.1)
     report = select_by_threshold(C, 0.85)
-    assert report.kept == X.column_names
-    assert report.dropped == ()
+    assert report["kept"] == list(X.column_names)
+    assert report["dropped"] == []
 
 
 def test_select_threshold_one_drops_only_exact_duplicates():
@@ -238,9 +238,9 @@ def test_select_threshold_one_drops_only_exact_duplicates():
     other = np.array([2.0, 7.0, 1.0, 8.0, 2.5])
     X = _matrix(np.column_stack([base, base.copy(), other]), ("a", "dup", "b"))
     report = select_by_threshold(correlation_matrix(X), 1.0)
-    assert report.dropped == ()  # strict comparison: |1.0| is not > 1.0
+    assert report["dropped"] == []  # strict comparison: |1.0| is not > 1.0
     looser = select_by_threshold(correlation_matrix(X), 0.9999999)
-    assert tuple(d.name for d in looser.dropped) == ("dup",)
+    assert [d["name"] for d in looser["dropped"]] == ["dup"]
 
 
 def test_select_above_max_correlation_drops_nothing():
@@ -249,14 +249,14 @@ def test_select_above_max_correlation_drops_nothing():
     C = correlation_matrix(X)
     ceiling = np.nanmax(np.abs(C.values[~np.eye(4, dtype=bool)]))
     report = select_by_threshold(C, min(1.0, ceiling + 1e-6))
-    assert report.dropped == ()
+    assert report["dropped"] == []
 
 
 def test_select_never_drops_on_undefined_pairs():
     X = _matrix([[1, 7], [2, 7], [3, 7]], ("a", "const"))
     report = select_by_threshold(correlation_matrix(X), 0.85)
-    assert report.kept == ("a", "const")
-    assert report.constant_columns == ("const",)
+    assert report["kept"] == ["a", "const"]
+    assert report["constant_columns"] == ["const"]
 
 
 def test_select_threshold_range_enforced():
@@ -300,7 +300,10 @@ def test_apply_selection_subset_preserves_order():
 def test_apply_selection_rejects_empty_and_unknown():
     X = _matrix(np.arange(6.0).reshape(3, 2), ("a", "b"))
     good = select_by_threshold(correlation_matrix(X), 0.9999)
-    empty = type(good)(kept=(), dropped=good.dropped, threshold=0.85, ranking=good.ranking)
+    empty = {
+        "kept": [], "dropped": good["dropped"], "threshold": 0.85,
+        "ranking": good["ranking"], "constant_columns": [],
+    }
     with pytest.raises(DataValidationError, match="no features"):
         apply_selection(X, empty)
     with pytest.raises(DataValidationError, match="unknown"):

@@ -70,10 +70,10 @@ def _doubled(column):
 
 def test_rank_position_identity_and_hand_case():
     X = _doubled(np.array([[1.0], [2.0], [3.0]]))
-    assert privacy_report(X, X, 0.0).rp == 0.0
+    assert privacy_report(X, X, 0.0)["rp"] == 0.0
     # distorted column ranks become [3, 1, 2]
     TX = _doubled(np.array([[9.0], [1.0], [2.0]]))
-    assert privacy_report(X, TX, 0.0).rp == pytest.approx(4.0 / 3.0)
+    assert privacy_report(X, TX, 0.0)["rp"] == pytest.approx(4.0 / 3.0)
 
 
 def test_rank_position_reversal_matches_oracle():
@@ -82,17 +82,17 @@ def test_rank_position_reversal_matches_oracle():
     X = _doubled(col[:, np.newaxis])
     TX = -X
     expected = np.mean(np.abs(np.array(rank_oracle(list(col))) - np.array(rank_oracle(list(-col)))))
-    assert privacy_report(X, TX, 0.0).rp == pytest.approx(expected)
+    assert privacy_report(X, TX, 0.0)["rp"] == pytest.approx(expected)
 
 
 def test_rank_maintenance_identity_and_monotone_map():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(40, 3))
-    assert privacy_report(X, X, 0.0).rk == 1.0
+    assert privacy_report(X, X, 0.0)["rk"] == 1.0
     TX = X * np.array([2.0, 0.5, 7.0]) + np.array([1.0, -3.0, 0.0])
     report = privacy_report(X, TX, 0.0)
-    assert report.rk == 1.0
-    assert report.rp == 0.0
+    assert report["rk"] == 1.0
+    assert report["rp"] == 0.0
 
 
 def test_rank_maintenance_matches_bruteforce():
@@ -102,8 +102,8 @@ def test_rank_maintenance_matches_bruteforce():
     rx = np.column_stack([rank_oracle(list(X[:, j])) for j in range(3)])
     rtx = np.column_stack([rank_oracle(list(TX[:, j])) for j in range(3)])
     report = privacy_report(X, TX, 0.0)
-    assert report.rk == pytest.approx(float((rx == rtx).mean()))
-    assert report.rp == pytest.approx(float(np.abs(rx - rtx).mean()))
+    assert report["rk"] == pytest.approx(float((rx == rtx).mean()))
+    assert report["rp"] == pytest.approx(float(np.abs(rx - rtx).mean()))
 
 
 def test_feature_rank_change_identity_and_swap():
@@ -124,10 +124,10 @@ def test_privacy_report_identity_tuple():
     rng = np.random.default_rng(25)
     X = rng.integers(1, 100, size=(30, 5)).astype(float)
     report = privacy_report(X, X.copy(), elapsed=0.5)
-    assert (report.vd, report.rp, report.rk, report.cp, report.ck) == (0.0, 0.0, 1.0, 0.0, 1.0)
-    assert report.distortion_time_s == 0.5
-    assert (report.n, report.m) == (30, 5)
-    assert report.rp_sum == 0.0
+    assert (report["vd"], report["rp"], report["rk"], report["cp"], report["ck"]) == (0.0, 0.0, 1.0, 0.0, 1.0)
+    assert report["distortion_time_s"] == 0.5
+    assert (report["n"], report["m"]) == (30, 5)
+    assert report["rp_sum"] == 0.0
 
 
 def _distinct_matrix(rng, n, m):
@@ -141,8 +141,8 @@ def test_report_after_positive_beta_distortion():
     model = DistortionModel(np.array([0.3, 1.5, 2.0, 0.01]), 4.0, 0.2, X.column_names)
     TX = transform(X, model)
     report = privacy_report(X.values, TX.values, 0.0)
-    assert report.rp == 0.0
-    assert report.rk == 1.0
+    assert report["rp"] == 0.0
+    assert report["rk"] == 1.0
 
 
 def test_report_mixed_signs_matches_analytic_reversal():
@@ -159,8 +159,8 @@ def test_report_mixed_signs_matches_analytic_reversal():
     reversal_sum = float(np.abs(np.arange(1, n + 1) - np.arange(n, 0, -1)).sum())
     expected_rp = n_neg * reversal_sum / (n * m)
     report = privacy_report(X.values, TX.values, 0.0)
-    assert report.rk == expected_rk
-    assert report.rp == expected_rp
+    assert report["rk"] == expected_rk
+    assert report["rp"] == expected_rp
 
 
 def test_all_metrics_invariant_under_joint_row_permutation():
@@ -170,11 +170,11 @@ def test_all_metrics_invariant_under_joint_row_permutation():
     before = privacy_report(X, TX, 0.0)
     perm = rng.permutation(60)
     after = privacy_report(X[perm], TX[perm], 0.0)
-    assert after.vd == pytest.approx(before.vd, abs=1e-12)
-    assert after.rp == before.rp
-    assert after.rk == before.rk
-    assert after.cp == before.cp
-    assert after.ck == before.ck
+    assert after["vd"] == pytest.approx(before["vd"], abs=1e-12)
+    assert after["rp"] == before["rp"]
+    assert after["rk"] == before["rk"]
+    assert after["cp"] == before["cp"]
+    assert after["ck"] == before["ck"]
 
 
 def test_full_retention_implies_zero_displacement():
@@ -182,5 +182,20 @@ def test_full_retention_implies_zero_displacement():
     X = rng.normal(size=(30, 3))
     TX = X * 3.0 + 2.0  # positive affine map keeps every rank
     report = privacy_report(X, TX, 0.0)
-    assert report.rk == 1.0 and report.rp == 0.0
-    assert report.ck == 1.0 and report.cp == 0.0
+    assert report["rk"] == 1.0 and report["rp"] == 0.0
+    assert report["ck"] == 1.0 and report["cp"] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("huge", ["original", "distorted"])
+def test_privacy_report_rejects_a_column_too_large_to_square(huge):
+    # VD's Frobenius norm overflowed to inf, with only a RuntimeWarning
+    values = np.random.default_rng(12).normal(size=(40, 3))
+    matrices = {"original": values, "distorted": values * 2.0 + 1.0}
+    matrices[huge] = matrices[huge] * [1.0, 1e154, 1.0]
+    X, TX = (FeatureMatrix(m, ("a", "b", "c")) for m in matrices.values())
+    message = r"column 'b' holds magnitudes up to \d\.\d{3}e\+154, above the 1e\+100 "
+    with pytest.raises(DataValidationError, match=message):
+        privacy_report(X, TX, 0.0)
+    with pytest.raises(DataValidationError, match=message.replace("'b'", "'1'")):
+        privacy_report(X.values, TX.values, 0.0)
