@@ -9,7 +9,9 @@ concurrent predict calls.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +44,7 @@ def default_hyperparameters(kind: str) -> dict:
     return dict(_DEFAULTS[kind])
 
 
-def _validate_hyperparameters(kind: str, hp: dict) -> dict:
+def _validate_hyperparameters(kind: str, hp: Mapping) -> dict:
     merged = default_hyperparameters(kind)
     unknown = set(hp) - set(merged)
     if unknown:
@@ -69,8 +71,11 @@ class ClassifierSpec:
     """Which classifier to train, with what hyperparameters and seed."""
 
     kind: str
-    hyperparameters: dict = field(default_factory=dict)
+    hyperparameters: Mapping = field(default_factory=dict)
     seed: int = 0
+
+    def __post_init__(self):  # a read-only copy, so a checked spec stays valid
+        object.__setattr__(self, "hyperparameters", MappingProxyType(dict(self.hyperparameters)))
 
     def resolved(self) -> dict:
         """Hyperparameters with defaults filled in, validated for this kind."""

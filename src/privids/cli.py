@@ -12,7 +12,9 @@ import argparse
 import csv
 import json
 import os
+import signal
 import sys
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import cached_property
@@ -107,28 +109,67 @@ def _write(out: Path, reports: dict) -> list[Path]:
 # slower.
 _MATRIX_BLOCK_CELLS = 1 << 13
 
+# Body cells from which _write_matrix formats half of the rows in a forked
+# child. A fork and reap cost about 8 ms: in-process on 2 CPUs the split lost
+# at 16,800 cells and won from 33,600, and 2^17 keeps desk's matrices serial.
+_MATRIX_SPLIT_CELLS = 1 << 17
 
-def _write_matrix(fh, matrix: FeatureMatrix):
-    """Write matrix to fh as csv.writer would: the header through
-    csv.writer, then the body in blocks of rows with one write per block.
-    A float repr never holds a character csv would quote, and FeatureMatrix
-    entries are finite.
 
-    Within a block, repr is taken once of each distinct value and its string
-    scattered to every cell that holds it: a distorted column is an affine
-    map of mostly repeated counts and codes. Distinct means distinct bit
-    patterns, not float values, because -0.0 == 0.0 but their reprs differ.
-    The strings are held for one block, so their number follows the block,
-    not the file."""
-    bits = matrix.values.view(np.uint64)
-    block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
-    csv.writer(fh).writerow(matrix.column_names)
-    for start in range(0, matrix.n, block):
+def _write_rows(fh, bits: np.ndarray, block: int):
+    """Write bits, rows of float64 bit patterns, to fh as CSV lines, one
+    write per block of block rows. Within a block, repr is taken once of
+    each distinct value and its string scattered to every cell that holds
+    it: a distorted column is an affine map of mostly repeated counts and
+    codes. Distinct means distinct bit patterns, not float values, because
+    -0.0 == 0.0 but their reprs differ. The strings are held for one block,
+    so their number follows the block, not the file."""
+    for start in range(0, len(bits), block):
         rows = bits[start : start + block]
         distinct, where = np.unique(rows.ravel(), return_inverse=True)
         strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
         text = strings[where].reshape(rows.shape)
         fh.write("".join([",".join(row) + "\r\n" for row in text.tolist()]))
+
+
+def _write_matrix(fh, matrix: FeatureMatrix):
+    """Write matrix to fh as csv.writer would: the header through
+    csv.writer, then the body through _write_rows. A float repr never holds
+    a character csv would quote, and FeatureMatrix entries are finite. On
+    Linux with 2 usable CPUs, a forked child writes the second half of a
+    large body into a memory file, appended once the child has exited."""
+    bits = matrix.values.view(np.uint64)
+    block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
+    csv.writer(fh).writerow(matrix.column_names)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
+    if bits.size < _MATRIX_SPLIT_CELLS or cpus < 2:
+        return _write_rows(fh, bits, block)
+    middle = matrix.n // 2 // block * block
+    with open(os.memfd_create("privids-tail"), "w", newline="", encoding="utf-8") as tail:
+        # Python 3.12 warns of forking beside OpenBLAS's threads, but the
+        # child calls no BLAS: it sorts, reprs and writes, then os._exit.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                _write_rows(tail, bits[middle:], block)
+                tail.flush()
+                os._exit(0)
+            finally:  # reached only when the lines above raise
+                os._exit(1)
+        try:
+            _write_rows(fh, bits[:middle], block)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise OSError(f"the process writing rows {middle} to {matrix.n} exited with code {code}")
+        fh.flush()
+        size, sent = os.fstat(tail.fileno()).st_size, 0
+        while sent < size:
+            sent += os.sendfile(fh.fileno(), tail.fileno(), sent, size - sent)
 
 
 def _verify_sha256(path: str, expected: str):

@@ -32,10 +32,13 @@ def value_difference(X, TX) -> float:
     x = _as_2d(X)
     tx = _as_2d(TX)
     _check_same_shape(x, tx)
-    denom = np.linalg.norm(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom, numer = np.linalg.norm(x), np.linalg.norm(x - tx)
+    if not (np.isfinite(denom) and np.isfinite(numer)):
+        raise DataValidationError("value difference undefined: a norm of X or X - TX is not finite")
     if denom == 0.0:
         raise DataValidationError("value difference undefined for an all-zero matrix")
-    return float(np.linalg.norm(x - tx) / denom)
+    return float(numer / denom)
 
 
 def rank_elements(M) -> np.ndarray:

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import synth_data
 import writer_oracle
 from privids import cli
 from privids.classifiers import KINDS, default_hyperparameters
@@ -262,8 +263,31 @@ class _FullDisk:
         self.written.append(text)
         return self.fh.write(text)
 
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def _split_matrices(monkeypatch):
+    """Make _write_matrix split every matrix in a forked child, also on one CPU."""
+    monkeypatch.setattr(cli, "_MATRIX_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
+    _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch)
+
+
+def test_failed_write_leaves_previous_file_when_split(tmp_path, monkeypatch):
+    _split_matrices(monkeypatch)
+    _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch)
+
+
+def _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "report.json"
     matrix_path = tmp_path / "distorted.csv"
@@ -283,7 +307,8 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         cli._write(tmp_path, {json_path.name: {"a": 2, "b": object()}})
 
-    # the disk fills after the header and the first of four 3-row blocks
+    # the disk fills after the header and the first of seven 3-row blocks;
+    # split, this process writes the first three and a child the other four
     monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
     replacing = cli._replacing
     files = []
@@ -295,13 +320,69 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
             yield files[-1]
 
     monkeypatch.setattr(cli, "_replacing", full_disk)
-    matrix = FeatureMatrix(np.arange(20.0).reshape(10, 2), ("a", "b"))
+    matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
     with pytest.raises(ConfigError, match="distorted.csv: cannot write: .*No space left"):
         cli._write(tmp_path, {matrix_path.name: matrix})
     assert files[0].written[1] == "0.0,1.0\r\n2.0,3.0\r\n4.0,5.0\r\n"
 
     assert {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)} == before
     assert sorted(tmp_path.iterdir()) == sorted(before)
+    _assert_no_child_left()
+
+
+def test_failed_child_leaves_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "distorted.csv"
+    path.write_bytes(b"previous\r\n")
+    _split_matrices(monkeypatch)
+    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def fails_for_the_second_half(fh, bits, block):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed")
+        write_rows(fh, bits, block)
+
+    monkeypatch.setattr(cli, "_write_rows", fails_for_the_second_half)
+    matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
+    with pytest.raises(ConfigError) as info:
+        cli._write(tmp_path, {path.name: matrix})
+    assert str(info.value) == (
+        f"{path}: cannot write: the process writing rows 9 to 20 exited with code 1"
+    )
+    assert path.read_bytes() == b"previous\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+    _assert_no_child_left()
+
+
+def test_write_matrix_is_serial_on_one_cpu(tmp_path, monkeypatch):
+    matrix = FeatureMatrix(np.arange(60.0).reshape(20, 3) / 7, ("a", "b", "c"))
+    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 9)
+    _split_matrices(monkeypatch)
+    cli._write(tmp_path, {"split.csv": matrix})
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    cli._write(tmp_path, {"serial.csv": matrix})
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_distort_above_the_split_threshold_writes_nothing_to_stderr(tmp_path):
+    # run as __main__, where Python 3.12 would print its fork warning
+    rows = cli._MATRIX_SPLIT_CELLS // 42 + 1
+    flows = tmp_path / "flows.csv"
+    synth_data.write_csv(flows, rows, seed=3)
+    config_path = _config_file(tmp_path, flows, configurations=["lsm_only"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "privids.cli", "distort", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    distorted = tmp_path / "out" / "distorted_lsm_only.csv"
+    assert distorted.read_bytes().count(b"\r\n") == rows + 1
 
 
 @pytest.mark.parametrize("blocker", ["file", "file/sub"])
@@ -360,16 +441,26 @@ def _matrices(draw):
     return FeatureMatrix(values, tuple(names))
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 7])
+# block_rows None keeps the default block, so every drawn matrix fits in one
+# block and a matrix of more than 2^13 columns gets one-row blocks; split
+# sends every matrix through the forked writer.
+@pytest.mark.parametrize("block_rows, split", [
+    pytest.param(b, split, id=f"{b or 'default'}{'-split' * split}")
+    for split in (False, True) for b in (1, 2, 7, None)
+])
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrix=_matrices())
 @example(matrix=FeatureMatrix(np.array(_EDGE_FLOATS[:18]).reshape(9, 2), ("a,b", ' "q"')))
 @example(matrix=FeatureMatrix(np.array([[1e16, -0.0, 5e-324]]), ("cr\r", "lf\n", " lead")))
 @example(matrix=FeatureMatrix(np.zeros((0, 1)), ("",)))
 @example(matrix=FeatureMatrix(np.array([[0.0, 1.0], [-0.0, 1.0]] * 8), ("signed zero", "one")))
-def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, matrix):
+@example(matrix=FeatureMatrix(np.arange(3.0 * 8200).reshape(3, 8200) / 7, tuple(map(str, range(8200)))))
+def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, split, matrix):
     out = tmp_path_factory.getbasetemp()
-    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
+    if split:
+        _split_matrices(monkeypatch)
     cli._write(out, {"fast.csv": matrix})
     writer_oracle.write_matrix(out / "oracle.csv", matrix)
     assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
@@ -902,6 +993,13 @@ def test_a_loaded_configs_sequences_cannot_change_in_place(tmp_path, small_csv, 
     config = load_config(_config_file(tmp_path, small_csv))
     with pytest.raises(AttributeError):
         getattr(config, name).append(getattr(config, name)[0])
+
+
+def test_a_loaded_configs_hyperparameters_cannot_change_in_place():
+    config = load_config(SHIPPED_CONFIG)
+    with pytest.raises(TypeError):
+        config.classifier_specs[0].hyperparameters["k"] = 0
+    assert config.echo()["classifiers"][0]["hyperparameters"] == {"k": 5}
 
 
 def test_sample_larger_than_dataset_exits_2(tmp_path, small_csv):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ def test_vd_shape_and_zero_norm_errors():
         value_difference(np.ones((2, 2)), np.ones((3, 2)))
     with pytest.raises(DataValidationError, match="zero"):
         value_difference(np.zeros((2, 2)), np.ones((2, 2)))
+
+
+def test_vd_rejects_a_norm_that_is_not_finite():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(40, 3))
+    TX = 1.5 * X
+    assert value_difference(X, TX) == np.linalg.norm(X - TX) / np.linalg.norm(X)
+    big = X * np.array([1.0, 1e154, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the norm of X overflows, then only the norm of X - TX does
+        for x, tx in ((big, 1.5 * big), (np.array([[1e308]]), np.array([[-1e308]]))):
+            with pytest.raises(DataValidationError, match="^value difference undefined: .*not finite$"):
+                value_difference(x, tx)
 
 
 def test_vd_scales_linearly():
