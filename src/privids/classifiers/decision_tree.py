@@ -5,28 +5,25 @@ sorted values of every candidate feature is scored. Growth stops at
 max_depth, at a pure node, or when a node has fewer than min_samples_split
 rows; leaves predict the majority label, ties resolving toward 0.
 
-One builder, TreeBuilder, grows every tree: the single tree of train() and
-all the forest's trees, in lockstep, into one node table per fit (TreeState),
-where children are made as a pair, so a right child is its left sibling + 1.
-Each tree keeps its own depth-first stack and its own candidate sampler, so
-its nodes and sampler draws come in the order of growing that tree alone.
-Each round pops the next node to split from every tree, and batched searches
-score the popped nodes a block of under 2**16 (rows x candidates) cells at a
-time: each (node, candidate feature) column is sorted by the dense rank of
-its values, and the weighted child Gini is computed only at value
-boundaries. The result equals a per-node search over every sorted position:
+TreeBuilder grows the single tree of train() and all the forest's trees in
+lockstep, into one node table per fit (TreeState), where a right child is its
+left sibling + 1. Each tree keeps its own depth-first stack and candidate
+sampler, so its nodes and draws come in the order of growing it alone. Each
+round pops the next node to split from every tree and scores the popped nodes
+a block of under _BLOCK_CELLS (rows x candidates) cells at a time: each
+(node, candidate) column is sorted by the dense rank of its values, and the
+weighted child Gini is computed only at value boundaries. The result equals a
+per-node search over every sorted position:
 
-- the row and positive counts left of a value boundary do not depend on how
-  tied rows are ordered, and positions inside a run of equal values are
-  never split points;
+- the counts left of a value boundary do not depend on how tied rows are
+  ordered, and positions inside a run of equal values are never split points;
 - the Gini is the same float expression on the same integer counts;
 - each node takes the first minimum in (left-child size, candidate) order,
   the order of a flattened argmin over a (sorted position x candidate) table.
 
-A fit runs in the calling process, one round after another, so the
-evaluation's train_time_s is the time of a single-process fit. Predicting
-walks every (tree, row) pair down the table at once and takes the trees'
-majority vote, ties going to 0, so a lone tree votes its own leaf.
+A fit runs in the calling process, so train_time_s is the time of a
+single-process fit. Predicting walks every (tree, row) pair down the table at
+once and takes the trees' majority vote, ties going to 0.
 """
 
 from __future__ import annotations
@@ -70,22 +67,24 @@ class TreeState:
         return (2 * votes > n_trees).astype(np.int64)
 
 
-_NOT_LOWEST = np.iinfo(np.int64).max
 # Cells (rows x candidates) scored by one batched search, unless one node alone
-# has more, and (tree, row) pairs of one predict block: a few MB of temporaries.
+# has more, and (tree, row) pairs of one predict block; it bounds the builder's
+# memory, a few tens of bytes per cell. Below _INT32_CELLS cells in X, every
+# row index, index into ranked_labels and count within a block fits an int32.
 _BLOCK_CELLS = 1 << 16
+_INT32_CELLS = 1 << 31
 
 
 class TreeBuilder:
-    """Grows trees on one training set: finite features X and 0/1 labels y.
-    The dense ranks of X are computed once here and shared by every tree
-    grown from this builder."""
+    """Grows trees on one training set, finite features X and 0/1 labels y, from
+    dense ranks of X computed once here and shared by every tree it grows."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: int):
         self.X = X
         self.y = y
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
+        self.row_dtype = np.dtype(np.int32 if X.size < _INT32_CELLS else np.int64)
         # Dense ranks by column: equal values share a rank, and rank r of
         # column f stands for values[value_start[f] + r], the r-th smallest
         # distinct value of f. ranked_labels[f * n + i] is 2 * (rank of row
@@ -96,10 +95,10 @@ class TreeBuilder:
         new[1:] = sorted_vals[1:] != sorted_vals[:-1]
         distinct = new.sum(axis=0)
         self.levels = int(distinct.max())
-        ranked = np.empty(X.shape, dtype=np.min_scalar_type(2 * self.levels))
-        np.put_along_axis(ranked, order, 2 * (np.cumsum(new, axis=0) - 1), axis=0)
-        ranked += y.astype(ranked.dtype)[:, np.newaxis]
-        self.ranked_labels = ranked.T.ravel()
+        ranked = np.empty(X.shape[::-1], dtype=np.min_scalar_type(2 * self.levels))
+        np.put_along_axis(ranked, order.T, 2 * np.cumsum(new, 0, dtype=ranked.dtype).T - 2, axis=1)
+        ranked += y.astype(ranked.dtype)
+        self.ranked_labels = ranked.ravel()
         self.values = sorted_vals.T[new.T]
         self.value_start = np.concatenate(([0], np.cumsum(distinct)[:-1]))
 
@@ -121,10 +120,10 @@ class TreeBuilder:
             [(t, rows, 0, int(self.y[rows].sum()))] for t, rows in enumerate(map(np.asarray, roots))
         ]
         while True:
-            # Pop from every tree until it reaches a node to split. Leaves draw
-            # no candidates and create no nodes, so settling them first keeps
-            # each tree's own order.
-            searched = []
+            # Pop from every tree until it reaches a node to split: leaves draw no
+            # candidates and create no nodes, so settling them first keeps each tree's
+            # order. Popped nodes go in blocks of under _BLOCK_CELLS cells, or alone if more.
+            blocks, cells = [[]], 0
             for t, stack in enumerate(stacks):
                 while stack:
                     node, rows, depth, pos = stack.pop()
@@ -133,54 +132,50 @@ class TreeBuilder:
                     if depth >= self.max_depth or k < self.min_samples_split or pos in (0, k):
                         continue
                     candidates = samplers[t]() if samplers is not None else all_features
-                    searched.append((t, node, rows, depth, pos, candidates))
+                    cells += k * candidates.size
+                    if blocks[-1] and cells >= _BLOCK_CELLS:
+                        blocks, cells = [*blocks, []], k * candidates.size
+                    blocks[-1].append((t, node, rows, depth, pos, candidates))
                     break
-            if not searched:
+            if not blocks[0]:
                 break
-            # Score the popped nodes in blocks of under _BLOCK_CELLS (rows x
-            # candidates) cells; a node with more cells is a block of its own.
-            blocks, cells = [[]], 0
-            for entry in searched:
-                size = entry[2].size * entry[5].size
-                if blocks[-1] and cells + size >= _BLOCK_CELLS:
-                    blocks.append([])
-                    cells = 0
-                blocks[-1].append(entry)
-                cells += size
             for block in blocks:
+                _, _, rows, _, pos, candidates = zip(*block)
+                sizes = np.array([r.size for r in rows])
                 picked, features, thresholds = self._best_splits(
-                    np.concatenate([rows for _, _, rows, _, _, _ in block]),
-                    np.array([rows.size for _, _, rows, _, _, _ in block]),
-                    np.array([pos for _, _, _, _, pos, _ in block]),
-                    np.array([candidates for _, _, _, _, _, candidates in block]),
+                    np.concatenate(rows), sizes, np.array(pos), np.array(candidates)
                 )
-                for b, f, thr in zip(picked.tolist(), features.tolist(), thresholds.tolist()):
-                    t, node, rows, depth, pos, _ = block[b]
+                if picked.size == 0:
+                    continue
+                # Partition the picked nodes' rows at once, each child in its parent's order.
+                sizes = sizes[picked]
+                rows = np.concatenate([rows[b] for b in picked.tolist()])
+                go_left = self.X[rows, features.repeat(sizes)] <= thresholds.repeat(sizes)
+                starts = np.cumsum(sizes) - sizes
+                left_n = np.add.reduceat(go_left, starts)
+                left_pos = np.add.reduceat(self.y[rows] * go_left, starts).tolist()
+                lefts = np.split(rows[go_left], np.cumsum(left_n)[:-1])
+                rights = np.split(rows[~go_left], np.cumsum(sizes - left_n)[:-1])
+                splits = zip(picked.tolist(), features.tolist(), thresholds.tolist(), left_pos)
+                for (b, f, thr, lpos), rows_left, rows_right in zip(splits, lefts, rights):
+                    t, node, _, depth, pos, _ = block[b]
                     feature[node], threshold[node], left[node] = f, thr, len(feature)
-                    feature += [-1, -1]
-                    threshold += [0.0, 0.0]
-                    left += [-1, -1]
-                    label += [0, 0]
-                    go_left = self.X[rows, f] <= thr
-                    rows_left, rows_right = rows[go_left], rows[~go_left]
-                    left_pos = int(self.y[rows_left].sum())
-                    stacks[t].append((left[node] + 1, rows_right, depth + 1, pos - left_pos))
-                    stacks[t].append((left[node], rows_left, depth + 1, left_pos))
+                    for table, leaf in ((feature, -1), (threshold, 0.0), (left, -1), (label, 0)):
+                        table += [leaf, leaf]
+                    stacks[t].append((left[node] + 1, rows_right, depth + 1, pos - lpos))
+                    stacks[t].append((left[node], rows_left, depth + 1, lpos))
         return TreeState(
-            feature=np.array(feature, dtype=np.int64),
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.int64),
-            label=np.array(label, dtype=np.int64),
-            roots=np.arange(n_trees, dtype=np.int64),
+            np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
+            np.array(left, dtype=np.int64), np.array(label, dtype=np.int64),
+            np.arange(n_trees, dtype=np.int64),
         )
 
     def _best_splits(self, rows, sizes, positives, candidates):
-        """Lowest weighted child Gini split of each node, over all candidate
-        (feature, midpoint) splits. rows holds the nodes' rows one node after
-        another, sizes and positives their row and positive-label counts, and
-        candidates (nodes x c) their sorted candidate features. Returns (node
-        indices, features, thresholds) for the nodes that have a split; a
-        node whose candidate columns are all constant has none."""
+        """Lowest weighted child Gini split of each node. rows holds the nodes'
+        rows one node after another, sizes and positives their row and
+        positive-label counts, and candidates (nodes x c) their sorted candidate
+        features. Returns (node indices, features, thresholds) for the nodes
+        that have a split; a node whose candidate columns are all constant has none."""
         n_nodes, c = candidates.shape
         levels = self.levels
         # Column i = node * c + j holds the values of candidate j of a node.
@@ -193,11 +188,16 @@ class TreeBuilder:
         dtype = np.min_scalar_type(2 * n_nodes * c * levels)
         column_key = np.arange(n_nodes * c, dtype=dtype).reshape(n_nodes, c).T * (2 * levels)
         cells = column_key.repeat(sizes, axis=1)
-        cells += self.ranked_labels[(candidates.T * self.X.shape[0]).repeat(sizes, axis=1) + rows]
+        index = (candidates.T * self.X.shape[0]).astype(self.row_dtype).repeat(sizes, axis=1)
+        index += rows
+        cells += self.ranked_labels[index]
+        del index
         cells = cells.ravel()
         cells.sort()
-        positives_before = np.zeros(cells.size + 1)
-        np.add.accumulate(cells & 1, dtype=float, out=positives_before[1:])
+        # positive labels among cells[:i], in integers; floats only at boundaries
+        positives_before = np.zeros(cells.size + 1, dtype=self.row_dtype)
+        np.bitwise_and(cells, 1, out=positives_before[1:])
+        np.cumsum(positives_before, out=positives_before)
         cells >>= 1
 
         # A value boundary lies between two adjacent sorted cells of one
@@ -205,37 +205,35 @@ class TreeBuilder:
         # column i holds per_column[i] of them.
         changed = cells[1:] != cells[:-1]
         changed[column_start[1:] - 1] = False
-        bound = changed.nonzero()[0] + 1
+        bound = changed.nonzero()[0]
+        del changed
+        bound += 1
         if bound.size == 0:
             return bound, bound, np.empty(0)
         column_first = np.searchsorted(bound, column_start)
         per_column = np.append(column_first[1:], bound.size) - column_first
+        per_node = per_column.reshape(n_nodes, c).sum(axis=1)
         start = column_start.repeat(per_column)
         left_count = bound - start
-
-        k = column_size.astype(float).repeat(per_column)
-        left_n = left_count.astype(float)
-        right_n = k - left_n
         left_pos = positives_before[bound] - positives_before[start]
-        right_pos = positives.astype(float).repeat(c).repeat(per_column) - left_pos
-        p_left = left_pos / left_n
-        p_right = right_pos / right_n
-        weighted = (
-            left_n * (2.0 * p_left * (1.0 - p_left))
-            + right_n * (2.0 * p_right * (1.0 - p_right))
-        ) / k
+        del positives_before, start
+        # (left term + right term) / node size, each term from _child_gini
+        weighted = _child_gini(left_pos, left_count)
+        weighted += _child_gini(
+            positives.repeat(per_node) - left_pos, column_size.repeat(per_column) - left_count
+        )
+        weighted /= column_size.astype(float).repeat(per_column)
 
         # In each node take the lowest score, and among equal scores the
-        # smallest (left count, candidate).
-        per_node = per_column.reshape(n_nodes, c).sum(axis=1)
+        # smallest (left count, candidate). tied ascends, so the ties of one
+        # node come together.
         lowest = np.minimum.reduceat(weighted, column_first[::c][per_node > 0])
         tied = (weighted == lowest.repeat(per_node[per_node > 0])).nonzero()[0]
         column = np.searchsorted(column_first, tied, side="right") - 1
         node = column // c
         tie = left_count[tied] * (n_nodes * c) + column
-        first_tie = np.full(n_nodes, _NOT_LOWEST)
-        np.minimum.at(first_tie, node, tie)
-        chosen = tie == first_tie[node]
+        n_ties = np.bincount(node, minlength=n_nodes)[per_node > 0]
+        chosen = tie == np.minimum.reduceat(tie, np.cumsum(n_ties) - n_ties).repeat(n_ties)
 
         at, column, node = bound[tied[chosen]], column[chosen], node[chosen]
         features = candidates.ravel()[column]
@@ -245,6 +243,18 @@ class TreeBuilder:
         return node, features, (lower + upper) / 2.0
 
 
+def _child_gini(positives, rows):
+    """rows * (2.0 * p * (1.0 - p)), p = positives / rows, op by op in place, the
+    integer counts cast exactly to float (IEEE products commute, so the bits
+    are the expression's)."""
+    p = np.divide(positives, rows)
+    rest = np.subtract(1.0, p)
+    p *= 2.0
+    p *= rest
+    p *= rows
+    return p
+
+
 def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> TreeState:
     builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
-    return builder.grow([np.arange(X.shape[0])])
+    return builder.grow([np.arange(X.shape[0], dtype=builder.row_dtype)])

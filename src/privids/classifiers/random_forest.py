@@ -24,9 +24,10 @@ def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> TreeState:
     n, m = X.shape
     n_candidates = min(math.ceil(math.sqrt(m)), m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
-    roots = [rng.integers(0, n, size=n) for rng in rngs]
+    builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
+    # drawn as int64 and cast, so the random stream is the same at any width
+    roots = [rng.integers(0, n, size=n).astype(builder.row_dtype) for rng in rngs]
     samplers = [
         lambda rng=rng: np.sort(rng.choice(m, size=n_candidates, replace=False)) for rng in rngs
     ]
-    builder = TreeBuilder(X, y, hp["max_depth"], hp["min_samples_split"])
     return builder.grow(roots, samplers)

@@ -159,11 +159,12 @@ def _write_matrix(fh, matrix: FeatureMatrix):
                 os._exit(1)
         try:
             _write_rows(fh, bits[:middle], block)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:  # SIGTERM included, also while waiting
+            with suppress(ProcessLookupError, ChildProcessError):  # already reaped
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
         if code:
             raise OSError(f"the process writing rows {middle} to {matrix.n} exited with code {code}")
         fh.flush()
@@ -439,6 +440,8 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 
 
 def main(argv=None) -> int:
+    # SIGTERM exits 143 through _replacing's and _write_matrix's cleanup
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         args = build_parser().parse_args(argv)
         config = _apply_overrides(load_config(args.config), args)
@@ -446,6 +449,8 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     for path in written:
         print(path)
     return 0

@@ -33,12 +33,23 @@ def value_difference(X, TX) -> float:
     tx = _as_2d(TX)
     _check_same_shape(x, tx)
     with np.errstate(over="ignore", invalid="ignore"):
-        denom, numer = np.linalg.norm(x), np.linalg.norm(x - tx)
-    if not (np.isfinite(denom) and np.isfinite(numer)):
-        raise DataValidationError("value difference undefined: a norm of X or X - TX is not finite")
+        (denom, e_denom), (numer, e_numer) = _norm(x), _norm(x - tx)
+        vd = np.ldexp(numer / denom, e_numer - e_denom) if denom else 0.0
+    if not np.isfinite([denom, numer, vd]).all():
+        raise DataValidationError("value difference undefined: a norm or the ratio is not finite")
     if denom == 0.0:
         raise DataValidationError("value difference undefined for an all-zero matrix")
-    return float(numer / denom)
+    return float(vd)
+
+
+def _norm(a: np.ndarray) -> tuple[float, int]:
+    """Frobenius norm of a as (s, e), norm = s * 2**e; where the sum of squares is
+    not a normal float (s < 2**-511 or not finite), a is first scaled exactly by
+    the power of two of its largest magnitude, if that is finite and nonzero."""
+    s = np.linalg.norm(a)
+    largest = np.abs(a).max(initial=0.0) if not 2.0**-511 <= s < np.inf else 0.0
+    e = int(np.frexp(largest)[1]) if 0.0 < largest < np.inf else 0
+    return (np.linalg.norm(np.ldexp(a, -e)), e) if e else (s, 0)
 
 
 def rank_elements(M) -> np.ndarray:

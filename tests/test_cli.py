@@ -6,8 +6,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import typing
 import weakref
 from collections import Counter
@@ -354,6 +357,45 @@ def test_failed_child_leaves_previous_file(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+def test_sigterm_while_waiting_for_the_child_kills_and_reaps_it(tmp_path, small_csv, monkeypatch):
+    _split_matrices(monkeypatch)
+    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def signal_once_the_first_half_is_written(fh, bits, block):
+        if os.getpid() != parent:
+            time.sleep(60)  # the child is killed long before this ends
+        write_rows(fh, bits, block)
+        main_thread = threading.main_thread().ident
+        threading.Timer(0.2, signal.pthread_kill, (main_thread, signal.SIGTERM)).start()
+
+    monkeypatch.setattr(cli, "_write_rows", signal_once_the_first_half_is_written)
+    matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
+
+    def write_one_matrix(config):
+        """Write one matrix."""
+        return cli._write(tmp_path, {"m.csv": matrix})
+
+    monkeypatch.setitem(cli.COMMANDS, "distort", write_one_matrix)
+    config_path = _config_file(tmp_path, small_csv)
+    started = time.monotonic()
+
+    def outside_main(signum, frame):
+        raise AssertionError("SIGTERM arrived outside main's handler")
+
+    previous = signal.signal(signal.SIGTERM, outside_main)
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["distort", "--config", str(config_path)])
+        assert signal.getsignal(signal.SIGTERM) is outside_main
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert info.value.code == 128 + signal.SIGTERM
+    assert time.monotonic() - started < 30
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+    _assert_no_child_left()
+
+
 def test_write_matrix_is_serial_on_one_cpu(tmp_path, monkeypatch):
     matrix = FeatureMatrix(np.arange(60.0).reshape(20, 3) / 7, ("a", "b", "c"))
     monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 9)
@@ -383,6 +425,42 @@ def test_distort_above_the_split_threshold_writes_nothing_to_stderr(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     distorted = tmp_path / "out" / "distorted_lsm_only.csv"
     assert distorted.read_bytes().count(b"\r\n") == rows + 1
+
+
+def _processes_naming(text: str) -> list[str]:
+    """Pids of the processes whose command line holds text."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and text.encode() in (entry / "cmdline").read_bytes():
+                found.append(entry.name)
+        except OSError:  # the process ended while it was read
+            pass
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_while_writing_exits_143_leaving_no_partial_file_or_process(tmp_path):
+    flows = tmp_path / "flows.csv"
+    synth_data.write_csv(flows, 12_000, seed=42)
+    config_path = _config_file(tmp_path, flows, configurations=["lsm_only", "pcc_lsm"])
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "privids.cli", "distort", "--config", str(config_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    ) as run:
+        while not any(out.glob(".*.partial")):
+            assert run.poll() is None, "the run ended before it wrote a file"
+            time.sleep(0.001)
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=60) == 128 + signal.SIGTERM
+    assert not list(out.glob(".*.partial"))
+    # a forked writer left running would still carry the parent's command line
+    deadline = time.monotonic() + 2
+    while _processes_naming(str(config_path)):
+        assert time.monotonic() < deadline, "a process of the run outlived it"
+        time.sleep(0.01)
 
 
 @pytest.mark.parametrize("blocker", ["file", "file/sub"])

@@ -46,13 +46,33 @@ def test_vd_rejects_a_norm_that_is_not_finite():
     X = rng.normal(size=(40, 3))
     TX = 1.5 * X
     assert value_difference(X, TX) == np.linalg.norm(X - TX) / np.linalg.norm(X)
-    big = X * np.array([1.0, 1e154, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        # the norm of X overflows, then only the norm of X - TX does
-        for x, tx in ((big, 1.5 * big), (np.array([[1e308]]), np.array([[-1e308]]))):
+        # an entry of X - TX overflows, then the ratio of two finite norms does
+        for x, tx in (
+            (np.array([[1e308]]), np.array([[-1e308]])),
+            (np.array([[1e-300, 0.0]]), np.array([[1e10, 1.0]])),
+        ):
             with pytest.raises(DataValidationError, match="^value difference undefined: .*not finite$"):
                 value_difference(x, tx)
+
+
+def test_vd_of_a_matrix_whose_squares_underflow_or_overflow():
+    # the plain sum of squares of each X is 0, subnormal or inf, though X has
+    # nonzero finite entries; scaled by a power of two it is exact, so VD is as
+    # at scale 1
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(40, 3))
+    TX = 1.5 * X
+    TX[0, 0] = 0.0
+    want = value_difference(X, TX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (2.0**-1000, 2.0**-600, 2.0**-530, 2.0**520, 2.0**1000):
+            assert value_difference(X * scale, TX * scale) == want
+        assert value_difference(np.array([[1e-300, 0.0]]), np.array([[2e-300, 0.0]])) == 1.0
+        with pytest.raises(DataValidationError, match="all-zero"):
+            value_difference(np.zeros((2, 2)), np.array([[1e-300, 0.0], [0.0, 0.0]]))
 
 
 def test_vd_scales_linearly():
