@@ -11,24 +11,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from importlib import import_module
 from types import MappingProxyType
 
 import numpy as np
 
 from ..dataset import FeatureMatrix, LabelVector, check_magnitude
 from ..errors import DataValidationError
-from . import decision_tree, knn, naive_bayes, random_forest, svm
 
-_MODULES = {
-    "knn": knn,
-    "naive_bayes": naive_bayes,
-    "decision_tree": decision_tree,
-    "random_forest": random_forest,
-    "svm": svm,
-}
-
-KINDS = tuple(_MODULES)
-
+# Each kind is implemented by the module of its name, imported by its first
+# fit, so that commands which fit nothing load none of them.
 _DEFAULTS = {
     "knn": {"k": 5},
     "naive_bayes": {},
@@ -36,6 +28,8 @@ _DEFAULTS = {
     "random_forest": {"n_trees": 100, "max_depth": 12, "min_samples_split": 2},
     "svm": {"epochs": 100, "lambda": 1e-4, "batch_size": 512},
 }
+
+KINDS = tuple(_DEFAULTS)
 
 
 def default_hyperparameters(kind: str) -> dict:
@@ -107,7 +101,7 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     check_magnitude(X)
     return TrainedModel(
         kind=spec.kind,
-        state=_MODULES[spec.kind].train(X.values, labels, hp, spec.seed),
+        state=import_module(f"{__name__}.{spec.kind}").train(X.values, labels, hp, spec.seed),
         hyperparameters=hp,
         seed=spec.seed,
         training_columns=tuple(X.column_names),

@@ -29,6 +29,7 @@ once and takes the trees' majority vote, ties going to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class TreeState:
 # has more, and (tree, row) pairs of one predict block; it bounds the builder's
 # memory, a few tens of bytes per cell. Below _INT32_CELLS cells in X, every
 # row index, index into ranked_labels and count within a block fits an int32.
-_BLOCK_CELLS = 1 << 16
+_BLOCK_CELLS = 1 << 15
 _INT32_CELLS = 1 << 31
 
 
@@ -147,23 +148,24 @@ class TreeBuilder:
                 )
                 if picked.size == 0:
                     continue
-                # Partition the picked nodes' rows at once, each child in its parent's order.
+                # Partition the picked nodes' rows at once, each child a slice in its parent's order.
                 sizes = sizes[picked]
                 rows = np.concatenate([rows[b] for b in picked.tolist()])
                 go_left = self.X[rows, features.repeat(sizes)] <= thresholds.repeat(sizes)
-                starts = np.cumsum(sizes) - sizes
+                ends = np.cumsum(sizes)
+                starts = ends - sizes
                 left_n = np.add.reduceat(go_left, starts)
                 left_pos = np.add.reduceat(self.y[rows] * go_left, starts).tolist()
-                lefts = np.split(rows[go_left], np.cumsum(left_n)[:-1])
-                rights = np.split(rows[~go_left], np.cumsum(sizes - left_n)[:-1])
-                splits = zip(picked.tolist(), features.tolist(), thresholds.tolist(), left_pos)
-                for (b, f, thr, lpos), rows_left, rows_right in zip(splits, lefts, rights):
+                lefts, rights, left_end = rows[go_left], rows[~go_left], np.cumsum(left_n)
+                cuts = zip(pairwise([0, *left_end.tolist()]), pairwise([0, *(ends - left_end).tolist()]))
+                splits = zip(picked.tolist(), features.tolist(), thresholds.tolist(), left_pos, cuts)
+                for b, f, thr, lpos, ((l0, l1), (r0, r1)) in splits:
                     t, node, _, depth, pos, _ = block[b]
                     feature[node], threshold[node], left[node] = f, thr, len(feature)
                     for table, leaf in ((feature, -1), (threshold, 0.0), (left, -1), (label, 0)):
                         table += [leaf, leaf]
-                    stacks[t].append((left[node] + 1, rows_right, depth + 1, pos - lpos))
-                    stacks[t].append((left[node], rows_left, depth + 1, lpos))
+                    stacks[t].append((left[node] + 1, rights[r0:r1], depth + 1, pos - lpos))
+                    stacks[t].append((left[node], lefts[l0:l1], depth + 1, lpos))
         return TreeState(
             np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
             np.array(left, dtype=np.int64), np.array(label, dtype=np.int64),
@@ -197,7 +199,7 @@ class TreeBuilder:
         # positive labels among cells[:i], in integers; floats only at boundaries
         positives_before = np.zeros(cells.size + 1, dtype=self.row_dtype)
         np.bitwise_and(cells, 1, out=positives_before[1:])
-        np.cumsum(positives_before, out=positives_before)
+        np.cumsum(positives_before, dtype=self.row_dtype, out=positives_before)
         cells >>= 1
 
         # A value boundary lies between two adjacent sorted cells of one

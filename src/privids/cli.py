@@ -35,7 +35,6 @@ from .dataset import (
 from .distortion import distort, transform
 from .errors import ConfigError, DataFormatError, DataValidationError, PipelineError
 from .feature_selection import apply_selection, correlation_matrix, select_by_threshold
-from .privacy_metrics import privacy_report
 
 # Report keys whose values depend on the wall clock; everything else is
 # byte-reproducible from config + seeds.
@@ -301,6 +300,8 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
     """Evaluate every requested configuration; write per-configuration
     evaluation reports, privacy reports for distorted configurations, a
     utility comparison against the baseline, and combined CSV summaries."""
+    from .privacy_metrics import privacy_report  # here, so that select and distort do not load it
+
     stages = stages or Stages(config)
     y = stages.ingested[1]
     evaluations = {}
@@ -349,6 +350,19 @@ def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[P
     return _write(Path(config.output_dir), reports)
 
 
+def _blas() -> dict:
+    """The BLAS numpy was built with, and its thread count as the environment
+    sets it for OpenBLAS (None when unset: the library picks its own count).
+    Report bytes can depend on that count; see the README. numpy before 1.25
+    cannot name its BLAS, so name and version read "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown"), "threads": threads}
+
+
 def cmd_pipeline(config: PipelineConfig) -> list[Path]:
     """Select, distort, and evaluate in one run, with a manifest that echoes
     the effective config and lists the files the run wrote. The stages share
@@ -364,6 +378,7 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
             "package": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "blas": _blas(),
         },
         "stage_times_s": {},
         "files": ["manifest.json"],

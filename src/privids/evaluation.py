@@ -7,7 +7,6 @@ median of repeated timed runs with no concurrent pipeline work.
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
@@ -75,14 +74,17 @@ def median_time(fn, repeats: int):
     """Run fn repeats times; return (last result, median wall seconds).
 
     The one clock behind every reported time. Each result is let go before
-    the next call, outside the timed window, so no two are ever held."""
+    the next call, outside the timed window, so no two are ever held. The
+    median is statistics.median's expression, so it keeps its bits."""
     times = []
     for _ in range(repeats):
         result = None
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-    return result, statistics.median(times)
+    times.sort()
+    middle = repeats // 2
+    return result, times[middle] if repeats % 2 else (times[middle - 1] + times[middle]) / 2
 
 
 def run_configuration(

@@ -427,6 +427,36 @@ def test_distort_above_the_split_threshold_writes_nothing_to_stderr(tmp_path):
     assert distorted.read_bytes().count(b"\r\n") == rows + 1
 
 
+# Modules that only fitting, predicting and evaluating need, and statistics,
+# which no command needs.
+_LAZY_MODULES = (
+    *(f"privids.classifiers.{kind}" for kind in KINDS), "privids.privacy_metrics", "statistics",
+)
+
+
+@pytest.mark.parametrize("command", ["select", "distort", "pipeline"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, small_csv, command):
+    config_path = _config_file(
+        tmp_path, small_csv, configurations=["baseline", "lsm_only"],
+        classifiers=[{"kind": kind, "seed": 42} for kind in KINDS],
+    )
+    probe = (
+        "import json, sys\n"
+        "from privids.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {list(_LAZY_MODULES)!r} if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.stderr == ""
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == (list(_LAZY_MODULES[:-1]) if command == "pipeline" else [])
+
+
 def _processes_naming(text: str) -> list[str]:
     """Pids of the processes whose command line holds text."""
     found = []
@@ -841,6 +871,7 @@ def _key_paths(obj, prefix=""):
 _REPORT_KEYS = {
     "manifest.json": """
         status files versions versions.package versions.python versions.numpy
+        versions.blas versions.blas.name versions.blas.version versions.blas.threads
         stage_times_s stage_times_s.select stage_times_s.distort stage_times_s.evaluate
         config config.configurations config.timing_repeats config.output_dir
         config.classifiers config.classifiers.[].kind config.classifiers.[].seed
@@ -937,6 +968,22 @@ def test_pipeline_writes_complete_manifest(tmp_path, small_csv):
     assert manifest["config"]["selection"]["pcc_threshold"] == 0.85
     assert manifest["config"]["classifiers"][0]["hyperparameters"]["k"] == 3
     assert set(manifest["stage_times_s"]) == {"select", "distort", "evaluate"}
+
+
+def test_manifest_names_the_blas_and_its_thread_count(tmp_path, small_csv, monkeypatch):
+    config_path = _config_file(tmp_path, small_csv, configurations=["baseline"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    blas = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]["blas"]
+    assert blas["threads"] == "3"
+    assert blas["name"] != "unknown" or np.lib.NumpyVersion(np.__version__) < "1.25.0"
+    # numpy before 1.25 has a show_config that takes no mode and only prints
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    blas = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]["blas"]
+    assert blas == {"name": "unknown", "version": "unknown", "threads": None}
 
 
 def test_pipeline_without_a_distorted_configuration_skips_distort(tmp_path, small_csv):

@@ -1,8 +1,14 @@
+import statistics
 import time
+import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from privids import evaluation
 
 from privids.classifiers import ClassifierSpec
 from privids.dataset import FeatureMatrix, LabelVector
@@ -244,3 +250,19 @@ def test_median_time_lets_each_result_go_before_the_next_call():
     last, _ = median_time(fn, 3)
     assert previous_alive == [False, False]
     assert refs[-1]() is last
+
+
+@pytest.mark.parametrize("repeats", range(1, 7))
+@given(data=st.data())
+def test_median_time_is_statistics_median_bit_for_bit(repeats, data):
+    # every call starts at clock 0.0 and ends at its duration, any
+    # nonnegative float, subnormal and huge ones included
+    durations = data.draw(st.lists(
+        st.floats(0.0, allow_infinity=False), min_size=repeats, max_size=repeats
+    ))
+    clock = iter([reading for duration in durations for reading in (0.0, duration)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        result, median = median_time(lambda: "result", repeats)
+    assert result == "result"
+    assert np.float64(median).tobytes() == np.float64(statistics.median(durations)).tobytes()
