@@ -38,49 +38,43 @@ def default_hyperparameters(kind: str) -> dict:
     return dict(_DEFAULTS[kind])
 
 
-def _validate_hyperparameters(kind: str, hp: Mapping) -> dict:
-    merged = default_hyperparameters(kind)
-    unknown = set(hp) - set(merged)
-    if unknown:
-        raise DataValidationError(f"{kind}: unknown hyperparameters {sorted(unknown, key=repr)}")
-    merged.update(hp)
-    checks = {
-        "k": lambda v: isinstance(v, int) and v >= 1,
-        "max_depth": lambda v: isinstance(v, int) and v >= 1,
-        "min_samples_split": lambda v: isinstance(v, int) and v >= 2,
-        "n_trees": lambda v: isinstance(v, int) and v >= 1,
-        "epochs": lambda v: isinstance(v, int) and v >= 1,
-        "lambda": lambda v: isinstance(v, (int, float)) and v > 0,
-        "batch_size": lambda v: isinstance(v, int) and v >= 1,
-    }
-    for key, value in merged.items():
-        # bool is a subclass of int, but true/false is never a count or a rate
-        if isinstance(value, bool) or not checks[key](value):
-            raise DataValidationError(f"{kind}: invalid hyperparameter {key}={value!r}")
-    return merged
-
-
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Which classifier to train, with what hyperparameters and seed."""
+    """Which classifier to train, with what hyperparameters and seed. The
+    hyperparameters are the kind's defaults updated with those given,
+    checked when the spec is made and held read-only, so a spec is valid."""
 
     kind: str
     hyperparameters: Mapping = field(default_factory=dict)
     seed: int = 0
 
-    def __post_init__(self):  # a read-only copy, so a checked spec stays valid
-        object.__setattr__(self, "hyperparameters", MappingProxyType(dict(self.hyperparameters)))
-
-    def resolved(self) -> dict:
-        """Hyperparameters with defaults filled in, validated for this kind."""
-        return _validate_hyperparameters(self.kind, self.hyperparameters)
+    def __post_init__(self):
+        kind, merged = self.kind, default_hyperparameters(self.kind)
+        unknown = set(self.hyperparameters) - set(merged)
+        if unknown:
+            raise DataValidationError(f"{kind}: unknown hyperparameters {sorted(unknown, key=repr)}")
+        merged.update(self.hyperparameters)
+        checks = {
+            "k": lambda v: isinstance(v, int) and v >= 1,
+            "max_depth": lambda v: isinstance(v, int) and v >= 1,
+            "min_samples_split": lambda v: isinstance(v, int) and v >= 2,
+            "n_trees": lambda v: isinstance(v, int) and v >= 1,
+            "epochs": lambda v: isinstance(v, int) and v >= 1,
+            "lambda": lambda v: isinstance(v, (int, float)) and v > 0,
+            "batch_size": lambda v: isinstance(v, int) and v >= 1,
+        }
+        for key, value in merged.items():
+            # bool is a subclass of int, but true/false is never a count or a rate
+            if isinstance(value, bool) or not checks[key](value):
+                raise DataValidationError(f"{kind}: invalid hyperparameter {key}={value!r}")
+        object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
 
 
 @dataclass(frozen=True)
 class TrainedModel:
     kind: str
     state: object
-    hyperparameters: dict
+    hyperparameters: Mapping
     seed: int
     training_columns: tuple[str, ...]
 
@@ -88,7 +82,6 @@ class TrainedModel:
 def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     """Train one classifier. Both classes must be present except for knn,
     which tolerates a single class, and X must pass check_magnitude."""
-    hp = spec.resolved()
     if X.n == 0 or X.m == 0:
         raise DataValidationError(f"{spec.kind}: cannot fit an empty matrix")
     if X.n != y.n:
@@ -101,8 +94,10 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
     check_magnitude(X)
     return TrainedModel(
         kind=spec.kind,
-        state=import_module(f"{__name__}.{spec.kind}").train(X.values, labels, hp, spec.seed),
-        hyperparameters=hp,
+        state=import_module(f"{__name__}.{spec.kind}").train(
+            X.values, labels, spec.hyperparameters, spec.seed
+        ),
+        hyperparameters=spec.hyperparameters,
         seed=spec.seed,
         training_columns=tuple(X.column_names),
     )

@@ -18,20 +18,20 @@ _CHUNK = 128
 
 @dataclass(frozen=True)
 class KnnState:
+    """k, the training labels, and the two training terms of every score:
+    -2 x^T and x.x, made once at fit and read-only."""
+
     k: int
-    train_x: np.ndarray
+    train_neg2t: np.ndarray
+    train_sq: np.ndarray
     train_y: np.ndarray
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         k = self.k
-        # per-row ranking of ||q - x||^2 only needs x.x - 2 q.x: the q.q term
-        # is constant within a row and cannot change order or tie structure
-        train_neg2t = -2.0 * self.train_x.T
-        train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
         out = np.empty(queries.shape[0], dtype=np.int64)
         for lo in range(0, queries.shape[0], _CHUNK):
-            scores = queries[lo : lo + _CHUNK] @ train_neg2t
-            scores += train_sq[np.newaxis, :]
+            scores = queries[lo : lo + _CHUNK] @ self.train_neg2t
+            scores += self.train_sq[np.newaxis, :]
             rows = np.arange(scores.shape[0])
             votes = np.zeros(scores.shape[0], dtype=np.int64)
             # argmin returns the first minimum, which is exactly the
@@ -45,9 +45,12 @@ class KnnState:
 
 
 def train(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> KnnState:
-    k = min(hp["k"], X.shape[0])
-    train_x = X.copy()
-    train_y = y.copy()
-    train_x.setflags(write=False)
-    train_y.setflags(write=False)
-    return KnnState(k=k, train_x=train_x, train_y=train_y)
+    """The state for X and y: y is kept as given, read-only in the fit's
+    LabelVector, and X only through the two terms. Per-row ranking of
+    ||q - x||^2 only needs x.x - 2 q.x: the q.q term is constant within a
+    row and cannot change order or tie structure."""
+    train_neg2t = -2.0 * X.T
+    train_sq = np.einsum("ij,ij->i", X, X)
+    train_neg2t.setflags(write=False)
+    train_sq.setflags(write=False)
+    return KnnState(min(hp["k"], X.shape[0]), train_neg2t, train_sq, y)

@@ -253,9 +253,9 @@ class Stages:
         return transform(self.original(tag), self.distortion(tag)[0])
 
 
-def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
+def cmd_select(stages: Stages) -> list[Path]:
     """Write the correlation matrix, the selection report, and the ranking."""
-    C, report = (stages or Stages(config)).selection
+    C, report = stages.selection
     reports = {
         "correlation_matrix.csv": (
             ["feature", *C.column_names],
@@ -266,19 +266,19 @@ def cmd_select(config: PipelineConfig, stages: Stages | None = None) -> list[Pat
             ["feature", "mean_abs_pcc"], ([r["feature"], r["score"]] for r in report["ranking"])
         ),
     }
-    return _write(Path(config.output_dir), reports)
+    return _write(Path(stages.config.output_dir), reports)
 
 
-def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
+def cmd_distort(stages: Stages) -> list[Path]:
     """Write the distorted matrix, model, and timing for every distorted
     configuration that was requested, each as soon as it is fitted."""
+    config = stages.config
     tags = [t for t in config.configurations if t in DISTORTED_TAGS]
     if not tags:
         raise ConfigError(
             f"distort needs one of {DISTORTED_TAGS} in 'configurations', "
             f"got {list(config.configurations)}"
         )
-    stages = stages or Stages(config)
     written = []
     for tag in tags:
         model, elapsed = stages.distortion(tag)
@@ -296,13 +296,13 @@ def cmd_distort(config: PipelineConfig, stages: Stages | None = None) -> list[Pa
     return written
 
 
-def cmd_evaluate(config: PipelineConfig, stages: Stages | None = None) -> list[Path]:
+def cmd_evaluate(stages: Stages) -> list[Path]:
     """Evaluate every requested configuration; write per-configuration
     evaluation reports, privacy reports for distorted configurations, a
     utility comparison against the baseline, and combined CSV summaries."""
     from .privacy_metrics import privacy_report  # here, so that select and distort do not load it
 
-    stages = stages or Stages(config)
+    config = stages.config
     y = stages.ingested[1]
     evaluations = {}
     privacy = {}
@@ -363,13 +363,14 @@ def _blas() -> dict:
     return {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown"), "threads": threads}
 
 
-def cmd_pipeline(config: PipelineConfig) -> list[Path]:
+def cmd_pipeline(stages: Stages) -> list[Path]:
     """Select, distort, and evaluate in one run, with a manifest that echoes
-    the effective config and lists the files the run wrote. The stages share
-    one Stages object, so the CSV is read once, within the select stage's
-    time. The distort stage is skipped when no distorted configuration is
+    the effective config and lists the files the run wrote. Every stage
+    reads the one stages, so the CSV is read once, within select's time.
+    The distort stage is skipped when no distorted configuration is
     requested. An interrupted run leaves status 'incomplete'; a complete run
     removes every report in REPORTS that it did not write."""
+    config = stages.config
     out = Path(config.output_dir)
     manifest = {
         "status": "incomplete",
@@ -384,7 +385,6 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
         "files": ["manifest.json"],
     }
     written = _write(out, {"manifest.json": manifest})
-    stages = Stages(config)
     distorts = any(tag in DISTORTED_TAGS for tag in config.configurations)
     try:
         for stage_name, stage in (
@@ -394,7 +394,7 @@ def cmd_pipeline(config: PipelineConfig) -> list[Path]:
         ):
             if stage_name == "distort" and not distorts:
                 continue
-            paths, elapsed = evaluation.median_time(lambda: stage(config, stages), 1)
+            paths, elapsed = evaluation.median_time(lambda: stage(stages), 1)
             written += paths
             manifest["files"] = sorted(p.name for p in written)
             manifest["stage_times_s"][stage_name] = elapsed
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _apply_overrides(load_config(args.config), args)
-        written = COMMANDS[args.command](config)
+        written = COMMANDS[args.command](Stages(config))
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

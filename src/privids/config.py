@@ -119,17 +119,12 @@ class PipelineConfig:
             raise ConfigError(f"unknown configurations {bad_tags}, expected {CONFIGURATION_TAGS}")
         if len(set(self.configurations)) != len(self.configurations):
             raise ConfigError("configurations has duplicate tags")
-        for i, spec in enumerate(self.classifier_specs):
-            try:
-                spec.resolved()
-            except DataValidationError as exc:
-                raise ConfigError(f"classifiers[{i}]: {exc}") from None
 
     def echo(self) -> dict:
         """Every effective value, defaults included, for the run manifest."""
         out = {
             "classifiers": [
-                {"kind": s.kind, "hyperparameters": s.resolved(), "seed": s.seed}
+                {"kind": s.kind, "hyperparameters": dict(s.hyperparameters), "seed": s.seed}
                 for s in self.classifier_specs
             ]
         }
@@ -171,5 +166,8 @@ def load_config(path) -> PipelineConfig:
         kind = _typed(entry.get("kind"), str, f"{where}.kind")
         hyperparameters = _typed(entry.get("hyperparameters"), dict | None, f"{where}.hyperparameters")
         seed = _typed(entry.get("seed", DEFAULT_SEED), int, f"{where}.seed")
-        specs.append(ClassifierSpec(kind, hyperparameters or {}, seed))
+        try:
+            specs.append(ClassifierSpec(kind, hyperparameters or {}, seed))
+        except DataValidationError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return PipelineConfig(classifier_specs=tuple(specs), **fields)

@@ -118,7 +118,7 @@ def run_configuration(
         counts = confusion(y_test, predictions)
         entries.append({
             "kind": spec.kind,
-            "hyperparameters": model.hyperparameters,
+            "hyperparameters": dict(spec.hyperparameters),
             "seed": spec.seed,
             "confusion": counts,
             **metrics(counts),

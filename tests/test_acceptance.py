@@ -21,7 +21,7 @@ from pearson_oracle import pearson
 from test_classifiers import gaussian_blobs, separable_set
 
 from privids.classifiers import ClassifierSpec, KINDS, fit, predict
-from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline
+from privids.cli import NONDETERMINISTIC_KEYS, Stages, cmd_pipeline
 from privids.config import load_config
 from privids.dataset import (
     FeatureMatrix,
@@ -440,10 +440,10 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         encoding="utf-8",
     )
     # identical config and seeds, rerun into the same output directory
-    cmd_pipeline(load_config(config_path))
+    cmd_pipeline(Stages(load_config(config_path)))
     files = sorted(p for p in (tmp_path / "out").iterdir())
     snapshot = {p.name: _comparable(p) for p in files}
-    cmd_pipeline(load_config(config_path))
+    cmd_pipeline(Stages(load_config(config_path)))
     rerun_files = sorted(p for p in (tmp_path / "out").iterdir())
 
     mismatches = [

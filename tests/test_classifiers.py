@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -390,6 +391,50 @@ def test_hyperparameter_validation():
             fit(ClassifierSpec(kind, hp, 0), X, y)
     with pytest.raises(DataValidationError, match="unknown classifier"):
         default_hyperparameters("boosted")
+
+
+@pytest.mark.parametrize(
+    "kind, hp, message",
+    [
+        ("boosted", {}, "unknown classifier kind 'boosted'"),
+        ("knn", {"neighbors": 3}, r"knn: unknown hyperparameters \['neighbors'\]"),
+        ("decision_tree", {"min_samples_split": 1}, "invalid hyperparameter min_samples_split=1"),
+        ("knn", {"k": True}, "invalid hyperparameter k=True"),
+    ],
+    ids=["unknown-kind", "unknown-hyperparameter", "invalid-value", "bool-value"],
+)
+def test_a_spec_is_checked_when_it_is_made(kind, hp, message):
+    with pytest.raises(DataValidationError, match=message):
+        ClassifierSpec(kind, hp, 0)
+
+
+def test_a_spec_holds_its_defaults_filled_hyperparameters_read_only():
+    spec = ClassifierSpec("svm", {"epochs": 2}, 5)
+    assert dict(spec.hyperparameters) == {**default_hyperparameters("svm"), "epochs": 2}
+    with pytest.raises(TypeError):
+        spec.hyperparameters["epochs"] = 0
+    reseeded = dataclasses.replace(spec, seed=6)
+    assert reseeded.seed == 6
+    assert dict(reseeded.hyperparameters) == dict(spec.hyperparameters)
+
+
+def test_knn_predict_makes_nothing_the_size_of_the_training_rows():
+    # the scoring terms are made once at fit; a predict of a few queries only
+    # allocates their score rows, 8 x 20,000 floats here, not a copy of X
+    rng = np.random.default_rng(5)
+    X, y = _data(rng.normal(size=(20_000, 42)), rng.integers(0, 2, 20_000))
+    model = fit(ClassifierSpec("knn", {}, 0), X, y)
+    queries = FeatureMatrix(rng.normal(size=(8, 42)), X.column_names)
+    tracemalloc.start()
+    try:
+        predicted = predict(model, queries).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.values.nbytes / 2, (peak, X.values.nbytes)
+    distances = ((queries.values[:, None, :] - X.values[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :5]
+    assert list(predicted) == list((2 * y.values[nearest].sum(axis=1) > 5).astype(int))
 
 
 def test_predict_rejects_column_mismatch():

@@ -139,6 +139,17 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         )
 
 
+def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, small_csv):
+    # classifier entries are checked as load_config builds them, beside their
+    # own type checks, and so before PipelineConfig checks its ranges
+    config_path = _config_file(
+        tmp_path, small_csv, selection={"pcc_threshold": 1.5},
+        classifiers=[{"kind": "knn", "hyperparameters": {"k": 0}}],
+    )
+    with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn: invalid hyperparameter k=0$"):
+        load_config(config_path)
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [
@@ -1169,7 +1180,7 @@ def test_pipeline_function_returns_written_paths(tmp_path, small_csv):
     config = load_config(
         _config_file(tmp_path, small_csv, configurations=["baseline", "lsm_only"])
     )
-    written = cmd_pipeline(config)
+    written = cmd_pipeline(cli.Stages(config))
     names = {p.name for p in written}
     assert "manifest.json" in names
     assert "selection_report.json" in names
