@@ -42,7 +42,8 @@ def default_hyperparameters(kind: str) -> dict:
 class ClassifierSpec:
     """Which classifier to train, with what hyperparameters and seed. The
     hyperparameters are the kind's defaults updated with those given,
-    checked when the spec is made and held read-only, so a spec is valid."""
+    checked with the seed when the spec is made and held read-only, so a
+    spec is valid."""
 
     kind: str
     hyperparameters: Mapping = field(default_factory=dict)
@@ -67,6 +68,8 @@ class ClassifierSpec:
             # bool is a subclass of int, but true/false is never a count or a rate
             if isinstance(value, bool) or not checks[key](value):
                 raise DataValidationError(f"{kind}: invalid hyperparameter {key}={value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise DataValidationError(f"{kind}: seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
 
 

@@ -446,12 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    """config rebuilt, through its own checks, with the flags that were given."""
-    changes = {"output_dir": args.output, "sample_rows": args.sample}
+    """config rebuilt, through its own checks, with the flags that were given.
+    --seed reaches split.seed before the specs, so a bad seed is named there."""
+    changes = {"output_dir": args.output, "sample_rows": args.sample,
+               "split_seed": args.seed, "sample_seed": args.seed}
+    config = replace(config, **{k: v for k, v in changes.items() if v is not None})
     if args.seed is not None:
         specs = tuple(replace(s, seed=args.seed) for s in config.classifier_specs)
-        changes.update(split_seed=args.seed, sample_seed=args.seed, classifier_specs=specs)
-    return replace(config, **{k: v for k, v in changes.items() if v is not None})
+        config = replace(config, classifier_specs=specs)
+    return config
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,14 @@
 """Pipeline configuration: a single YAML file with strict key checking.
 
-One table, SCHEMA, lists every key but `classifiers` with its YAML type and
-default; loading, type checks and the run manifest's echo of the full
-effective configuration all read it. Unknown keys are rejected at every
-nesting level.
+Every key but `classifiers` is declared once, on its PipelineConfig field:
+the field's metadata holds the key's YAML path, its default and its allowed
+values, and the field's annotation is its YAML type. Loading, type checks,
+range checks and the run manifest's echo of the full effective configuration
+all read those declarations. Unknown keys are rejected at every nesting level.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -20,25 +19,6 @@ from .evaluation import CONFIGURATION_TAGS
 DEFAULT_SEED = 42
 _REQUIRED = object()
 
-# (section, key, PipelineConfig field, type, default) for every key except
-# `classifiers`; section None is the top level of the file.
-SCHEMA = (
-    ("dataset", "path", "dataset_path", str, _REQUIRED),
-    ("dataset", "drop_columns", "drop_columns", list[str], ["id"]),
-    ("dataset", "label_column", "label_column", str, "label"),
-    ("dataset", "category_column", "category_column", str | None, "attack_cat"),
-    ("dataset", "sha256", "sha256", str | None, None),
-    ("dataset", "min_max_scale", "min_max_scale", bool, False),
-    ("selection", "pcc_threshold", "pcc_threshold", float, 0.85),
-    ("split", "test_fraction", "test_fraction", float, 0.3),
-    ("split", "seed", "split_seed", int, DEFAULT_SEED),
-    ("sample", "rows", "sample_rows", int | None, None),
-    ("sample", "seed", "sample_seed", int, DEFAULT_SEED),
-    (None, "configurations", "configurations", list[str], list(CONFIGURATION_TAGS)),
-    (None, "timing_repeats", "timing_repeats", int, 3),
-    (None, "output_dir", "output_dir", str, "runs/out"),
-)
-
 _TYPE_NAMES = {
     int: "an integer",
     int | None: "an integer or null",
@@ -46,10 +26,17 @@ _TYPE_NAMES = {
     str: "a string",
     str | None: "a string or null",
     bool: "true or false",
-    list[str]: "a list of strings",
+    tuple[str, ...]: "a list of strings",
     list | None: "a list or null",
     dict | None: "a mapping or null",
 }
+
+
+def _key(path: str, default=_REQUIRED, phrase: str = "", test=None):
+    """A field read from the config key at path ("section.key", or "key" at
+    the top level), taking default when absent; a value that is not null
+    must pass test, which phrase describes in the error."""
+    return field(metadata={"path": path, "default": default, "allowed": (phrase, test)})
 
 
 def _typed(value, kind, where: str):
@@ -58,13 +45,13 @@ def _typed(value, kind, where: str):
     strings becomes a tuple, so a loaded config cannot change in place."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind == list[str]:
+    if kind == tuple[str, ...]:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
     else:
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     if not ok:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return tuple(value) if kind == list[str] else value
+    return tuple(value) if kind == tuple[str, ...] else value
 
 
 def _mapping(value, where: str, allowed) -> dict:
@@ -78,38 +65,32 @@ def _mapping(value, where: str, allowed) -> dict:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    dataset_path: str
-    output_dir: str
-    drop_columns: tuple[str, ...]
-    label_column: str
-    category_column: str | None
-    sha256: str | None
-    min_max_scale: bool
-    pcc_threshold: float
-    test_fraction: float
-    split_seed: int
-    sample_rows: int | None
-    sample_seed: int
+    """Every setting of a run. Each field but classifier_specs is a config
+    key, declared by _key; keys are loaded, checked and echoed in this order."""
+
+    dataset_path: str = _key("dataset.path")
+    drop_columns: tuple[str, ...] = _key("dataset.drop_columns", ["id"])
+    label_column: str = _key("dataset.label_column", "label")
+    category_column: str | None = _key("dataset.category_column", "attack_cat")
+    sha256: str | None = _key(
+        "dataset.sha256", None, "64 hexadecimal digits", lambda v: re.fullmatch("[0-9a-fA-F]{64}", v)
+    )
+    min_max_scale: bool = _key("dataset.min_max_scale", False)
+    pcc_threshold: float = _key("selection.pcc_threshold", 0.85, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    test_fraction: float = _key("split.test_fraction", 0.3, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+    split_seed: int = _key("split.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
+    sample_rows: int | None = _key("sample.rows", None, "a positive integer", lambda v: v >= 1)
+    sample_seed: int = _key("sample.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
+    configurations: tuple[str, ...] = _key("configurations", list(CONFIGURATION_TAGS))
+    timing_repeats: int = _key("timing_repeats", 3, ">= 1", lambda v: v >= 1)
+    output_dir: str = _key("output_dir", "runs/out")
     classifier_specs: tuple[ClassifierSpec, ...]
-    configurations: tuple[str, ...]
-    timing_repeats: int
 
     def __post_init__(self):
-        if not (0.0 < self.pcc_threshold <= 1.0):
-            raise ConfigError(f"selection.pcc_threshold must be in (0, 1], got {self.pcc_threshold}")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ConfigError(f"split.test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.sha256 is not None and not re.fullmatch("[0-9a-fA-F]{64}", self.sha256):
-            raise ConfigError(f"dataset.sha256 must be 64 hexadecimal digits, got {self.sha256!r}")
-        if self.sample_rows is not None and self.sample_rows < 1:
-            raise ConfigError(f"sample.rows must be a positive integer, got {self.sample_rows}")
-        if self.timing_repeats < 1:
-            raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
-        seeds = {"split.seed": self.split_seed, "sample.seed": self.sample_seed}
-        seeds.update((f"classifiers[{i}].seed", s.seed) for i, s in enumerate(self.classifier_specs))
-        for where, seed in seeds.items():
-            if seed < 0:
-                raise ConfigError(f"{where} must be >= 0, got {seed}")
+        for f, _, _ in _keys():
+            value, (phrase, test) = getattr(self, f.name), f.metadata["allowed"]
+            if test and value is not None and not test(value):
+                raise ConfigError(f"{f.metadata['path']} must be {phrase}, got {value!r}")
         if not self.configurations:
             raise ConfigError("configurations must name at least one configuration tag")
         if not self.classifier_specs:
@@ -128,9 +109,15 @@ class PipelineConfig:
                 for s in self.classifier_specs
             ]
         }
-        for section, key, name, _, _ in SCHEMA:
-            (out.setdefault(section, {}) if section else out)[key] = getattr(self, name)
+        for f, section, key in _keys():
+            (out.setdefault(section, {}) if section else out)[key] = getattr(self, f.name)
         return out
+
+
+def _keys():
+    """(field, section, key) for each PipelineConfig field that is a config key,
+    in declaration order; section is "" for a key at the top level."""
+    return [(f, *f.metadata["path"].rpartition(".")[::2]) for f in fields(PipelineConfig) if f.metadata]
 
 
 def load_config(path) -> PipelineConfig:
@@ -144,19 +131,18 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from None
-    raw = _mapping(raw, "config", {section or key for section, key, *_ in SCHEMA} | {"classifiers"})
-    sections = {None: raw}
-    for section in dict.fromkeys(s for s, *_ in SCHEMA if s):
-        allowed = {k for s, k, *_ in SCHEMA if s == section}
-        sections[section] = _mapping(raw.get(section), section, allowed)
+    keys = _keys()
+    raw = _mapping(raw, "config", {section or key for _, section, key in keys} | {"classifiers"})
+    sections = {"": raw}
+    for section in dict.fromkeys(s for _, s, _ in keys if s):
+        sections[section] = _mapping(raw.get(section), section, {k for _, s, k in keys if s == section})
 
-    fields = {}
-    for section, key, name, kind, default in SCHEMA:
-        where = f"{section}.{key}" if section else key
-        value = sections[section].get(key, default)
+    values = {}
+    for f, section, key in keys:
+        value = sections[section].get(key, f.metadata["default"])
         if value is _REQUIRED:
-            raise ConfigError(f"{where} is required")
-        fields[name] = _typed(value, kind, where)
+            raise ConfigError(f"{f.metadata['path']} is required")
+        values[f.name] = _typed(value, f.type, f.metadata["path"])
 
     entries = _typed(raw.get("classifiers"), list | None, "classifiers")
     specs = []
@@ -165,9 +151,8 @@ def load_config(path) -> PipelineConfig:
         entry = _mapping(entry, where, {"kind", "hyperparameters", "seed"})
         kind = _typed(entry.get("kind"), str, f"{where}.kind")
         hyperparameters = _typed(entry.get("hyperparameters"), dict | None, f"{where}.hyperparameters")
-        seed = _typed(entry.get("seed", DEFAULT_SEED), int, f"{where}.seed")
         try:
-            specs.append(ClassifierSpec(kind, hyperparameters or {}, seed))
+            specs.append(ClassifierSpec(kind, hyperparameters or {}, entry.get("seed", DEFAULT_SEED)))
         except DataValidationError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    return PipelineConfig(classifier_specs=tuple(specs), **fields)
+    return PipelineConfig(classifier_specs=tuple(specs), **values)

@@ -451,6 +451,8 @@ def stratified_sample(
     seed: int,
 ) -> tuple[FeatureMatrix, LabelVector]:
     """Seeded stratified row sample for desk-scale runs; preserves label ratio."""
+    if n_rows < 1:
+        raise DataValidationError(f"sample of {n_rows} rows requested, need at least 1")
     if n_rows > X.n:
         raise DataValidationError(f"sample of {n_rows} rows requested but only {X.n} available")
     if n_rows == X.n:

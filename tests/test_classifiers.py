@@ -408,6 +408,13 @@ def test_a_spec_is_checked_when_it_is_made(kind, hp, message):
         ClassifierSpec(kind, hp, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+def test_a_spec_checks_its_seed(seed):
+    # numpy's generators would reject these only at fit, with their own errors
+    with pytest.raises(DataValidationError, match=rf"^svm: seed must be a non-negative integer, got {seed!r}$"):
+        ClassifierSpec("svm", {}, seed)
+
+
 def test_a_spec_holds_its_defaults_filled_hyperparameters_read_only():
     spec = ClassifierSpec("svm", {"epochs": 2}, 5)
     assert dict(spec.hyperparameters) == {**default_hyperparameters("svm"), "epochs": 2}

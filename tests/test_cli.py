@@ -29,7 +29,7 @@ import writer_oracle
 from privids import cli
 from privids.classifiers import KINDS, default_hyperparameters
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
-from privids.config import DEFAULT_SEED, SCHEMA, load_config
+from privids.config import DEFAULT_SEED, PipelineConfig, load_config
 from privids.dataset import FeatureMatrix
 from privids.distortion import distort
 from privids.errors import ConfigError
@@ -148,6 +148,14 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
     )
     with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn: invalid hyperparameter k=0$"):
         load_config(config_path)
+    config_path = _config_file(
+        tmp_path, small_csv, selection={"pcc_threshold": 1.5},
+        classifiers=[{"kind": "knn", "seed": -1}],
+    )
+    with pytest.raises(
+        ConfigError, match=r"^classifiers\[0\]: knn: seed must be a non-negative integer, got -1$"
+    ):
+        load_config(config_path)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +179,7 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         # a float must not truncate to an int
         ("split.seed", {"split": {"seed": 2.7}}),
         ("timing_repeats", {"timing_repeats": 2.9}),
-        ("classifiers[0].seed", {"classifiers": [{"kind": "knn", "seed": 1.5}]}),
+        ("classifiers[0]: knn: seed must be", {"classifiers": [{"kind": "knn", "seed": 1.5}]}),
         # a string must not split into one-letter tags
         ("configurations must be a list", {"configurations": "baseline"}),
         # a list, a number or null must not turn into a column name or a path
@@ -182,7 +190,7 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         ("output_dir", {"output_dir": ["x"]}),
         # numpy's generators reject a negative seed with a bare ValueError
         ("split.seed", {"split": {"seed": -1}}),
-        ("classifiers[0].seed", {"classifiers": [{"kind": "knn", "seed": -1}]}),
+        ("classifiers[0]: knn: seed must be", {"classifiers": [{"kind": "knn", "seed": -1}]}),
         # names of mixed types cannot be sorted by value
         (
             "classifiers[0]: knn: unknown hyperparameters ['x', 1]",
@@ -208,10 +216,17 @@ def test_non_numeric_config_scalar_exits_1(
     assert key in _assert_one_line_error(capsys)
 
 
+# (field, section, key) of every config key; section "" is the top level
+CONFIG_KEYS = [
+    (f, *f.metadata["path"].rpartition(".")[::2])
+    for f in dataclasses.fields(PipelineConfig) if f.metadata
+]
+
+
 def _has_declared_type(value, kind) -> bool:
     if value is None:
         return type(None) in typing.get_args(kind)
-    if kind == list[str]:
+    if kind == tuple[str, ...]:
         return type(value) is tuple and all(type(v) is str for v in value)
     return type(value) in (typing.get_args(kind) or (kind,))
 
@@ -229,9 +244,9 @@ YAML_VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(row=st.sampled_from(SCHEMA), value=YAML_VALUES)
+@given(row=st.sampled_from(CONFIG_KEYS), value=YAML_VALUES)
 def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row, value):
-    section, key, name, kind, _ = row
+    field, section, key = row
     payload = {"dataset": {"path": "flows.csv"}}
     (payload.setdefault(section, {}) if section else payload)[key] = value
     path = tmp_path_factory.getbasetemp() / "schema_property.yaml"
@@ -239,23 +254,23 @@ def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row
     try:
         config = load_config(path)
     except ConfigError as exc:
-        assert (f"{section}.{key}" if section else key) in str(exc)
+        assert field.metadata["path"] in str(exc)
         return
-    loaded = getattr(config, name)
-    assert _has_declared_type(loaded, kind)
-    assert loaded == (tuple(value) if kind == list[str] else value)
+    loaded = getattr(config, field.name)
+    assert _has_declared_type(loaded, field.type)
+    assert loaded == (tuple(value) if field.type == tuple[str, ...] else value)
 
 
 def test_shipped_config_documents_every_key_with_its_default():
     doc = yaml.safe_load(SHIPPED_CONFIG.read_text(encoding="utf-8"))
     # keys whose shipped value is an example for a real run, not the default
-    examples = {("dataset", "path"), ("sample", "rows"), (None, "output_dir")}
-    for section, key, _, _, default in SCHEMA:
-        where = f"{section}.{key}" if section else key
+    examples = {"dataset.path", "sample.rows", "output_dir"}
+    for field, section, key in CONFIG_KEYS:
+        where = field.metadata["path"]
         entries = doc[section] if section else doc
         assert key in entries, where
-        if (section, key) not in examples:
-            assert entries[key] == default, where
+        if where not in examples:
+            assert entries[key] == field.metadata["default"], where
     assert [c["kind"] for c in doc["classifiers"]] == list(KINDS)
     for entry in doc["classifiers"]:
         assert entry.get("hyperparameters", {}) == default_hyperparameters(entry["kind"])

@@ -533,6 +533,14 @@ def test_sample_preserves_ratio_and_determinism():
         stratified_sample(X, y, 500, seed=9)
 
 
+@pytest.mark.parametrize("n_rows", [0, -5])
+def test_sample_rejects_fewer_than_one_row(n_rows):
+    # the picker keeps one row of each class, so these once returned two rows
+    X, y = _balanced(20)
+    with pytest.raises(DataValidationError, match=rf"^sample of {n_rows} rows requested, need at least 1$"):
+        stratified_sample(X, y, n_rows, seed=9)
+
+
 def _old_split_rows(labels, test_fraction, seed):
     """stratified_split's test rows as picked before the picker was shared."""
     rng = np.random.default_rng(seed)

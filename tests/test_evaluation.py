@@ -252,6 +252,15 @@ def test_median_time_lets_each_result_go_before_the_next_call():
     assert refs[-1]() is last
 
 
+def test_median_time_rejects_fewer_than_one_repeat():
+    # no call means no result and no time to return
+    for repeats in (0, -1):
+        with pytest.raises(DataValidationError, match=rf"^timing repeats must be >= 1, got {repeats}$"):
+            median_time(lambda: "result", repeats)
+    with pytest.raises(DataValidationError, match="timing repeats"):
+        run_configuration("baseline", *_toy_split(), [ClassifierSpec("knn", {}, 0)], timing_repeats=0)
+
+
 @pytest.mark.parametrize("repeats", range(1, 7))
 @given(data=st.data())
 def test_median_time_is_statistics_median_bit_for_bit(repeats, data):
