@@ -40,21 +40,25 @@ def default_hyperparameters(kind: str) -> dict:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Which classifier to train, with what hyperparameters and seed. The
-    hyperparameters are the kind's defaults updated with those given,
-    checked with the seed when the spec is made and held read-only, so a
-    spec is valid."""
+    """Which classifier to train, with what hyperparameters and seed: a known
+    kind, and a mapping that updates the kind's defaults, checked with the
+    seed when the spec is made and held read-only, so a spec is valid."""
 
     kind: str
     hyperparameters: Mapping = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        kind, merged = self.kind, default_hyperparameters(self.kind)
-        unknown = set(self.hyperparameters) - set(merged)
+        kind, given = self.kind, self.hyperparameters
+        if not isinstance(kind, str):
+            raise DataValidationError(f"kind must be a string, got {kind!r}")
+        merged = default_hyperparameters(kind)
+        if not isinstance(given, Mapping):
+            raise DataValidationError(f"{kind}: hyperparameters must be a mapping, got {given!r}")
+        unknown = set(given) - set(merged)
         if unknown:
             raise DataValidationError(f"{kind}: unknown hyperparameters {sorted(unknown, key=repr)}")
-        merged.update(self.hyperparameters)
+        merged.update(given)
         checks = {
             "k": lambda v: isinstance(v, int) and v >= 1,
             "max_depth": lambda v: isinstance(v, int) and v >= 1,
@@ -77,8 +81,6 @@ class ClassifierSpec:
 class TrainedModel:
     kind: str
     state: object
-    hyperparameters: Mapping
-    seed: int
     training_columns: tuple[str, ...]
 
 
@@ -100,8 +102,6 @@ def fit(spec: ClassifierSpec, X: FeatureMatrix, y: LabelVector) -> TrainedModel:
         state=import_module(f"{__name__}.{spec.kind}").train(
             X.values, labels, spec.hyperparameters, spec.seed
         ),
-        hyperparameters=spec.hyperparameters,
-        seed=spec.seed,
         training_columns=tuple(X.column_names),
     )
 

@@ -5,6 +5,8 @@ the field's metadata holds the key's YAML path, its default and its allowed
 values, and the field's annotation is its YAML type. Loading, type checks,
 range checks and the run manifest's echo of the full effective configuration
 all read those declarations. Unknown keys are rejected at every nesting level.
+load_config only reads the file: every value is checked by the constructor
+of the object that holds it, so a config made in code gets the same checks.
 """
 
 import re
@@ -41,12 +43,12 @@ def _key(path: str, default=_REQUIRED, phrase: str = "", test=None):
 
 def _typed(value, kind, where: str):
     """value if it has the type kind, else a ConfigError naming where. bool is
-    never a number, an int under a float key becomes a float, and a list of
-    strings becomes a tuple, so a loaded config cannot change in place."""
+    never a number, an int under a float key becomes a float, and a list or
+    tuple of strings becomes a tuple, so a config cannot change in place."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind == tuple[str, ...]:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
     else:
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     if not ok:
@@ -81,25 +83,27 @@ class PipelineConfig:
     split_seed: int = _key("split.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
     sample_rows: int | None = _key("sample.rows", None, "a positive integer", lambda v: v >= 1)
     sample_seed: int = _key("sample.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
-    configurations: tuple[str, ...] = _key("configurations", list(CONFIGURATION_TAGS))
+    configurations: tuple[str, ...] = _key(
+        "configurations", list(CONFIGURATION_TAGS), f"one or more distinct tags of {CONFIGURATION_TAGS}",
+        lambda v: v and set(v) <= set(CONFIGURATION_TAGS) and len(set(v)) == len(v),
+    )
     timing_repeats: int = _key("timing_repeats", 3, ">= 1", lambda v: v >= 1)
     output_dir: str = _key("output_dir", "runs/out")
     classifier_specs: tuple[ClassifierSpec, ...]
 
     def __post_init__(self):
         for f, _, _ in _keys():
-            value, (phrase, test) = getattr(self, f.name), f.metadata["allowed"]
+            value = _typed(getattr(self, f.name), f.type, f.metadata["path"])
+            phrase, test = f.metadata["allowed"]
             if test and value is not None and not test(value):
                 raise ConfigError(f"{f.metadata['path']} must be {phrase}, got {value!r}")
-        if not self.configurations:
-            raise ConfigError("configurations must name at least one configuration tag")
-        if not self.classifier_specs:
+            object.__setattr__(self, f.name, value)
+        specs = self.classifier_specs
+        if not isinstance(specs, (list, tuple)) or not all(isinstance(s, ClassifierSpec) for s in specs):
+            raise ConfigError(f"classifiers must be a list of ClassifierSpec, got {specs!r}")
+        if not specs:
             raise ConfigError("classifiers must name at least one classifier")
-        bad_tags = [t for t in self.configurations if t not in CONFIGURATION_TAGS]
-        if bad_tags:
-            raise ConfigError(f"unknown configurations {bad_tags}, expected {CONFIGURATION_TAGS}")
-        if len(set(self.configurations)) != len(self.configurations):
-            raise ConfigError("configurations has duplicate tags")
+        object.__setattr__(self, "classifier_specs", tuple(specs))
 
     def echo(self) -> dict:
         """Every effective value, defaults included, for the run manifest."""
@@ -121,7 +125,8 @@ def _keys():
 
 
 def load_config(path) -> PipelineConfig:
-    """Load and validate a pipeline config file."""
+    """Read a pipeline config file: reject unknown keys, require dataset.path
+    and fill in defaults; ClassifierSpec and PipelineConfig check the values."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -139,20 +144,18 @@ def load_config(path) -> PipelineConfig:
 
     values = {}
     for f, section, key in keys:
-        value = sections[section].get(key, f.metadata["default"])
-        if value is _REQUIRED:
+        values[f.name] = sections[section].get(key, f.metadata["default"])
+        if values[f.name] is _REQUIRED:
             raise ConfigError(f"{f.metadata['path']} is required")
-        values[f.name] = _typed(value, f.type, f.metadata["path"])
 
     entries = _typed(raw.get("classifiers"), list | None, "classifiers")
     specs = []
     for i, entry in enumerate([{"kind": k} for k in KINDS] if entries is None else entries):
         where = f"classifiers[{i}]"
         entry = _mapping(entry, where, {"kind", "hyperparameters", "seed"})
-        kind = _typed(entry.get("kind"), str, f"{where}.kind")
-        hyperparameters = _typed(entry.get("hyperparameters"), dict | None, f"{where}.hyperparameters")
+        hyperparameters = {} if entry.get("hyperparameters") is None else entry["hyperparameters"]
         try:
-            specs.append(ClassifierSpec(kind, hyperparameters or {}, entry.get("seed", DEFAULT_SEED)))
+            specs.append(ClassifierSpec(entry.get("kind"), hyperparameters, entry.get("seed", DEFAULT_SEED)))
         except DataValidationError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    return PipelineConfig(classifier_specs=tuple(specs), **values)
+    return PipelineConfig(classifier_specs=specs, **values)

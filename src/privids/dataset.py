@@ -42,7 +42,7 @@ LARGEST_MAGNITUDE = 1e100
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense n x m float matrix with named columns. Entries are always finite."""
+    """Dense n x m float matrix with columns named by strings; entries are always finite."""
 
     values: np.ndarray
     column_names: tuple[str, ...]
@@ -51,10 +51,10 @@ class FeatureMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise DataValidationError(f"feature matrix must be 2-D, got shape {vals.shape}")
+        if isinstance(self.column_names, str) or not all(isinstance(c, str) for c in self.column_names):
+            raise DataValidationError(f"column names must be strings, got {self.column_names!r}")
         if vals.shape[1] != len(self.column_names):
-            raise DataValidationError(
-                f"{vals.shape[1]} columns but {len(self.column_names)} column names"
-            )
+            raise DataValidationError(f"{vals.shape[1]} columns but {len(self.column_names)} column names")
         if len(set(self.column_names)) != len(self.column_names):
             raise DataValidationError("column names are not unique")
         if not np.all(np.isfinite(vals)):
@@ -451,7 +451,7 @@ def stratified_sample(
     seed: int,
 ) -> tuple[FeatureMatrix, LabelVector]:
     """Seeded stratified row sample for desk-scale runs; preserves label ratio."""
-    if n_rows < 1:
+    if isinstance(n_rows, bool) or not isinstance(n_rows, int) or n_rows < 1:
         raise DataValidationError(f"sample of {n_rows} rows requested, need at least 1")
     if n_rows > X.n:
         raise DataValidationError(f"sample of {n_rows} rows requested but only {X.n} available")

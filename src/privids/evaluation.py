@@ -76,7 +76,7 @@ def median_time(fn, repeats: int):
     The one clock behind every reported time. Each result is let go before
     the next call, outside the timed window, so no two are ever held. The
     median is statistics.median's expression, so it keeps its bits."""
-    if repeats < 1:
+    if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
         raise DataValidationError(f"timing repeats must be >= 1, got {repeats}")
     times = []
     for _ in range(repeats):

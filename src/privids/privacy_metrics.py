@@ -22,16 +22,17 @@ def _as_2d(M) -> np.ndarray:
     return arr
 
 
-def _check_same_shape(X: np.ndarray, TX: np.ndarray):
-    if X.shape != TX.shape:
-        raise DataValidationError(f"shape mismatch: {X.shape} vs {TX.shape}")
+def _pair(X, TX) -> tuple[np.ndarray, np.ndarray]:
+    """X and TX as 2-D float arrays of the same shape."""
+    x, tx = _as_2d(X), _as_2d(TX)
+    if x.shape != tx.shape:
+        raise DataValidationError(f"shape mismatch: {x.shape} vs {tx.shape}")
+    return x, tx
 
 
 def value_difference(X, TX) -> float:
     """Frobenius norm of (X - TX) divided by the Frobenius norm of X."""
-    x = _as_2d(X)
-    tx = _as_2d(TX)
-    _check_same_shape(x, tx)
+    x, tx = _pair(X, TX)
     with np.errstate(over="ignore", invalid="ignore"):
         (denom, e_denom), (numer, e_numer) = _norm(x), _norm(x - tx)
         vd = np.ldexp(numer / denom, e_numer - e_denom) if denom else 0.0
@@ -76,9 +77,7 @@ def _rank_means(arr: np.ndarray) -> np.ndarray:
 
 def feature_rank_change(X, TX) -> tuple[float, float]:
     """Rank displacement (CP) and rank retention (CK) of column means."""
-    x = _as_2d(X)
-    tx = _as_2d(TX)
-    _check_same_shape(x, tx)
+    x, tx = _pair(X, TX)
     if x.shape[1] < 2:
         raise DataValidationError("feature rank change needs at least 2 columns")
     rx = _rank_means(x)
@@ -91,9 +90,7 @@ def feature_rank_change(X, TX) -> tuple[float, float]:
 def privacy_report(X, TX, elapsed: float) -> dict:
     """The five measures, timing, dimensions and rp_sum (the unnormalized
     total rank displacement); each matrix must pass check_magnitude."""
-    x = _as_2d(X)
-    tx = _as_2d(TX)
-    _check_same_shape(x, tx)
+    x, tx = _pair(X, TX)
     check_magnitude(X)
     check_magnitude(TX)
     rank_diff = np.abs(rank_elements(x) - rank_elements(tx))

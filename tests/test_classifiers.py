@@ -171,9 +171,10 @@ def test_forest_deterministic_for_fixed_seed():
     first = predict(fit(spec, X_train, y_train), X_test).values
     second = predict(fit(spec, X_train, y_train), X_test).values
     assert np.array_equal(first, second)
+    # another seed draws other bootstraps, so it grows other trees
     other_seed = ClassifierSpec("random_forest", {"n_trees": 10}, 43)
     third = fit(other_seed, X_train, y_train)
-    assert third.seed != spec.seed
+    assert not np.array_equal(third.state.threshold, fit(spec, X_train, y_train).state.threshold)
 
 
 def _tie_heavy(seed, n, m, distinct, shape):
@@ -400,8 +401,14 @@ def test_hyperparameter_validation():
         ("knn", {"neighbors": 3}, r"knn: unknown hyperparameters \['neighbors'\]"),
         ("decision_tree", {"min_samples_split": 1}, "invalid hyperparameter min_samples_split=1"),
         ("knn", {"k": True}, "invalid hyperparameter k=True"),
+        # a list kind once failed as unhashable, and a hyperparameter set that
+        # is not a mapping failed in set(), each with a bare TypeError
+        (["knn"], {}, r"^kind must be a string, got \['knn'\]$"),
+        ("knn", None, "^knn: hyperparameters must be a mapping, got None$"),
+        ("knn", 5, "^knn: hyperparameters must be a mapping, got 5$"),
     ],
-    ids=["unknown-kind", "unknown-hyperparameter", "invalid-value", "bool-value"],
+    ids=["unknown-kind", "unknown-hyperparameter", "invalid-value", "bool-value",
+         "list-kind", "null-hyperparameters", "int-hyperparameters"],
 )
 def test_a_spec_is_checked_when_it_is_made(kind, hp, message):
     with pytest.raises(DataValidationError, match=message):
@@ -475,8 +482,10 @@ def test_fit_rejects_empty_and_tiny_input():
 
 
 def test_model_records_training_metadata():
+    # the hyperparameters and seed stay on the spec; the model keeps what
+    # predict needs and the kind that names it
     X, y = separable_set(60, seed=9)
     model = fit(ClassifierSpec("svm", {"epochs": 2}, 5), X, y)
+    assert model.kind == "svm"
     assert model.training_columns == X.column_names
-    assert model.hyperparameters["epochs"] == 2
-    assert model.hyperparameters["lambda"] == pytest.approx(1e-4)
+    assert [f.name for f in dataclasses.fields(model)] == ["kind", "state", "training_columns"]

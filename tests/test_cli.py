@@ -100,6 +100,18 @@ def test_load_config_rejects_an_empty_classifier_list(tmp_path, small_csv):
         load_config(_config_file(tmp_path, small_csv, classifiers=[]))
 
 
+def test_a_config_made_in_code_gets_the_checks_of_a_file():
+    config = load_config(SHIPPED_CONFIG)
+    # numpy once failed on this seed only after select had written its files
+    with pytest.raises(ConfigError, match=r"^split\.seed must be an integer, got 1\.5$"):
+        dataclasses.replace(config, split_seed=1.5)
+    with pytest.raises(ConfigError, match=r"^classifiers must be a list of ClassifierSpec, got \[\{'kind': 'knn'\}\]$"):
+        dataclasses.replace(config, classifier_specs=[{"kind": "knn"}])
+    # a list is held as a tuple, so the config cannot change in place
+    specs = list(config.classifier_specs)
+    assert dataclasses.replace(config, classifier_specs=specs).classifier_specs == tuple(specs)
+
+
 @pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_exits_1(tmp_path, capsys, unreadable):
     path = tmp_path / "config.yaml"
@@ -140,14 +152,14 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
 
 
 def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, small_csv):
-    # classifier entries are checked as load_config builds them, beside their
-    # own type checks, and so before PipelineConfig checks its ranges
-    config_path = _config_file(
-        tmp_path, small_csv, selection={"pcc_threshold": 1.5},
-        classifiers=[{"kind": "knn", "hyperparameters": {"k": 0}}],
-    )
-    with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn: invalid hyperparameter k=0$"):
-        load_config(config_path)
+    # classifier entries are checked as load_config builds them, and so
+    # before PipelineConfig checks the type and range of every key
+    for key_fault in ({"selection": {"pcc_threshold": 1.5}}, {"split": {"seed": 1.5}}):
+        config_path = _config_file(
+            tmp_path, small_csv, **key_fault, classifiers=[{"kind": "knn", "hyperparameters": {"k": 0}}]
+        )
+        with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn: invalid hyperparameter k=0$"):
+            load_config(config_path)
     config_path = _config_file(
         tmp_path, small_csv, selection={"pcc_threshold": 1.5},
         classifiers=[{"kind": "knn", "seed": -1}],
@@ -243,20 +255,36 @@ YAML_VALUES = st.one_of(
 )
 
 
+def _outcome(make_config, name):
+    """(the ConfigError's text, None) if make_config fails, else (None, the
+    value of field name and its type)."""
+    try:
+        loaded = getattr(make_config(), name)
+    except ConfigError as exc:
+        return str(exc), None
+    return None, (loaded, type(loaded))
+
+
 @settings(max_examples=300, deadline=None)
 @given(row=st.sampled_from(CONFIG_KEYS), value=YAML_VALUES)
 def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row, value):
     field, section, key = row
     payload = {"dataset": {"path": "flows.csv"}}
+    minimal = tmp_path_factory.getbasetemp() / "schema_minimal.yaml"
+    minimal.write_text(yaml.safe_dump(payload), encoding="utf-8")
     (payload.setdefault(section, {}) if section else payload)[key] = value
     path = tmp_path_factory.getbasetemp() / "schema_property.yaml"
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
-    try:
-        config = load_config(path)
-    except ConfigError as exc:
-        assert field.metadata["path"] in str(exc)
+    # a config made in code is checked as one read from a file; it is given
+    # the value as the file holds it, whose mappings have sorted keys
+    error, loaded = _outcome(lambda: load_config(path), field.name)
+    as_read = {field.name: yaml.safe_load(yaml.safe_dump(value))}
+    replaced = _outcome(lambda: dataclasses.replace(load_config(minimal), **as_read), field.name)
+    assert replaced == (error, loaded)
+    if error:
+        assert field.metadata["path"] in error
         return
-    loaded = getattr(config, field.name)
+    loaded, _ = loaded
     assert _has_declared_type(loaded, field.type)
     assert loaded == (tuple(value) if field.type == tuple[str, ...] else value)
 

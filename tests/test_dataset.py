@@ -464,6 +464,13 @@ def test_feature_matrix_rejects_duplicate_names():
         FeatureMatrix(np.ones((2, 2)), ("a", "a"))
 
 
+@pytest.mark.parametrize("names", ["abc", ("a", 1, "c"), (0, 1, 2)], ids=["str", "mixed", "ints"])
+def test_feature_matrix_rejects_names_that_are_not_strings(names):
+    # a string once split into one-letter names, and integers were kept as names
+    with pytest.raises(DataValidationError, match=r"^column names must be strings, got "):
+        FeatureMatrix(np.ones((2, 3)), names)
+
+
 def test_label_vector_rejects_other_values():
     with pytest.raises(DataValidationError, match="expected 0 or 1"):
         LabelVector(np.array([0, 1, 2]))
@@ -533,9 +540,10 @@ def test_sample_preserves_ratio_and_determinism():
         stratified_sample(X, y, 500, seed=9)
 
 
-@pytest.mark.parametrize("n_rows", [0, -5])
+@pytest.mark.parametrize("n_rows", [0, -5, 4.5, True])
 def test_sample_rejects_fewer_than_one_row(n_rows):
-    # the picker keeps one row of each class, so these once returned two rows
+    # the picker keeps one row of each class, so 0 and -5 once returned two
+    # rows; 4.5 was rounded per class and true was taken as 1
     X, y = _balanced(20)
     with pytest.raises(DataValidationError, match=rf"^sample of {n_rows} rows requested, need at least 1$"):
         stratified_sample(X, y, n_rows, seed=9)

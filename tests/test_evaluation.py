@@ -253,8 +253,9 @@ def test_median_time_lets_each_result_go_before_the_next_call():
 
 
 def test_median_time_rejects_fewer_than_one_repeat():
-    # no call means no result and no time to return
-    for repeats in (0, -1):
+    # no call means no result and no time to return; true once ran fn once,
+    # and 2.5 failed in range() with a bare TypeError
+    for repeats in (0, -1, 2.5, True):
         with pytest.raises(DataValidationError, match=rf"^timing repeats must be >= 1, got {repeats}$"):
             median_time(lambda: "result", repeats)
     with pytest.raises(DataValidationError, match="timing repeats"):
