@@ -1,21 +1,26 @@
 """Pipeline configuration: a single YAML file with strict key checking.
 
-Every key but `classifiers` is declared once, on its PipelineConfig field:
-the field's metadata holds the key's YAML path, its default and its allowed
-values, and the field's annotation is its YAML type. Loading, type checks,
-range checks and the run manifest's echo of the full effective configuration
-all read those declarations. Unknown keys are rejected at every nesting level.
-load_config only reads the file: every value is checked by the constructor
-of the object that holds it, so a config made in code gets the same checks.
+Every run setting is declared once, here, with its default and its allowed
+values. A config key is declared on its PipelineConfig field: the field's
+metadata holds the key's YAML path, its default and its allowed values, and
+the field's annotation is its YAML type. Each classifier kind's
+hyperparameters are declared in HYPERPARAMETERS, each typed by its default.
+One function, _setting, checks the type and then the range of every key,
+hyperparameter, classifier kind and seed, so each fails with one message
+format: "<where> must be <type or allowed values>, got <value>". Unknown keys
+are rejected at every nesting level. load_config only reads the file: every
+value is checked by the constructor of the object that holds it, so a config
+made in code gets the same checks.
 """
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import yaml
 
-from .classifiers import KINDS, ClassifierSpec
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError
 from .evaluation import CONFIGURATION_TAGS
 
 DEFAULT_SEED = 42
@@ -30,8 +35,31 @@ _TYPE_NAMES = {
     bool: "true or false",
     tuple[str, ...]: "a list of strings",
     list | None: "a list or null",
-    dict | None: "a mapping or null",
+    Mapping | None: "a mapping or null",
 }
+
+
+def _at_least(low):
+    """(phrase, test) of the values >= low."""
+    return f">= {low}", lambda v: v >= low
+
+
+# kind: {name: (default, allowed values, test)} of each classifier's
+# hyperparameters; a value must have its default's type. A forest's trees
+# take the decision tree's settings.
+_TREE = {"max_depth": (12, *_at_least(1)), "min_samples_split": (2, *_at_least(2))}
+HYPERPARAMETERS = {
+    "knn": {"k": (5, *_at_least(1))},
+    "naive_bayes": {},
+    "decision_tree": _TREE,
+    "random_forest": {"n_trees": (100, *_at_least(1)), **_TREE},
+    "svm": {
+        "epochs": (100, *_at_least(1)),
+        "lambda": (1e-4, "> 0", lambda v: v > 0),
+        "batch_size": (512, *_at_least(1)),
+    },
+}
+KINDS = tuple(HYPERPARAMETERS)
 
 
 def _key(path: str, default=_REQUIRED, phrase: str = "", test=None):
@@ -56,13 +84,45 @@ def _typed(value, kind, where: str):
     return tuple(value) if kind == tuple[str, ...] else value
 
 
-def _mapping(value, where: str, allowed) -> dict:
+def _setting(value, kind, where: str, phrase: str = "", test=None):
+    """value as _typed makes it, if it is null or passes test, else a
+    ConfigError naming where and saying phrase: the one rule of every run
+    setting."""
+    value = _typed(value, kind, where)
+    if test and value is not None and not test(value):
+        raise ConfigError(f"{where} must be {phrase}, got {value!r}")
+    return value
+
+
+def _mapping(value, where: str, allowed) -> Mapping:
     """value as a mapping (null reads as empty) with no key outside allowed."""
-    value = _typed(value, dict | None, where) or {}
+    value = _typed(value, Mapping | None, where) or {}
     unknown = set(value) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
     return value
+
+
+@dataclass(frozen=True)
+class ClassifierSpec:
+    """Which classifier to train, with what hyperparameters and seed: a kind
+    of HYPERPARAMETERS, a mapping (null for none) that updates the kind's
+    defaults, and a seed >= 0, each checked by _setting when the spec is made
+    and held read-only, so a spec is valid."""
+
+    kind: str
+    hyperparameters: Mapping | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        kind = _setting(self.kind, str, "kind", f"one of {KINDS}", lambda v: v in HYPERPARAMETERS)
+        given = _mapping(self.hyperparameters, f"{kind}.hyperparameters", HYPERPARAMETERS[kind])
+        merged = {
+            name: _setting(given.get(name, default), type(default), f"{kind}.{name}", phrase, test)
+            for name, (default, phrase, test) in HYPERPARAMETERS[kind].items()
+        }
+        _setting(self.seed, int, f"{kind}.seed", *_at_least(0))
+        object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
 
 
 @dataclass(frozen=True)
@@ -80,23 +140,20 @@ class PipelineConfig:
     min_max_scale: bool = _key("dataset.min_max_scale", False)
     pcc_threshold: float = _key("selection.pcc_threshold", 0.85, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     test_fraction: float = _key("split.test_fraction", 0.3, "in (0, 1)", lambda v: 0.0 < v < 1.0)
-    split_seed: int = _key("split.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
+    split_seed: int = _key("split.seed", DEFAULT_SEED, *_at_least(0))
     sample_rows: int | None = _key("sample.rows", None, "a positive integer", lambda v: v >= 1)
-    sample_seed: int = _key("sample.seed", DEFAULT_SEED, ">= 0", lambda v: v >= 0)
+    sample_seed: int = _key("sample.seed", DEFAULT_SEED, *_at_least(0))
     configurations: tuple[str, ...] = _key(
         "configurations", list(CONFIGURATION_TAGS), f"one or more distinct tags of {CONFIGURATION_TAGS}",
         lambda v: v and set(v) <= set(CONFIGURATION_TAGS) and len(set(v)) == len(v),
     )
-    timing_repeats: int = _key("timing_repeats", 3, ">= 1", lambda v: v >= 1)
+    timing_repeats: int = _key("timing_repeats", 3, *_at_least(1))
     output_dir: str = _key("output_dir", "runs/out")
     classifier_specs: tuple[ClassifierSpec, ...]
 
     def __post_init__(self):
         for f, _, _ in _keys():
-            value = _typed(getattr(self, f.name), f.type, f.metadata["path"])
-            phrase, test = f.metadata["allowed"]
-            if test and value is not None and not test(value):
-                raise ConfigError(f"{f.metadata['path']} must be {phrase}, got {value!r}")
+            value = _setting(getattr(self, f.name), f.type, f.metadata["path"], *f.metadata["allowed"])
             object.__setattr__(self, f.name, value)
         specs = self.classifier_specs
         if not isinstance(specs, (list, tuple)) or not all(isinstance(s, ClassifierSpec) for s in specs):
@@ -107,12 +164,8 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """Every effective value, defaults included, for the run manifest."""
-        out = {
-            "classifiers": [
-                {"kind": s.kind, "hyperparameters": dict(s.hyperparameters), "seed": s.seed}
-                for s in self.classifier_specs
-            ]
-        }
+        specs = [{**vars(s), "hyperparameters": dict(s.hyperparameters)} for s in self.classifier_specs]
+        out = {"classifiers": specs}
         for f, section, key in _keys():
             (out.setdefault(section, {}) if section else out)[key] = getattr(self, f.name)
         return out
@@ -152,10 +205,9 @@ def load_config(path) -> PipelineConfig:
     specs = []
     for i, entry in enumerate([{"kind": k} for k in KINDS] if entries is None else entries):
         where = f"classifiers[{i}]"
-        entry = _mapping(entry, where, {"kind", "hyperparameters", "seed"})
-        hyperparameters = {} if entry.get("hyperparameters") is None else entry["hyperparameters"]
-        try:
-            specs.append(ClassifierSpec(entry.get("kind"), hyperparameters, entry.get("seed", DEFAULT_SEED)))
-        except DataValidationError as exc:
+        entry = _mapping(entry, where, {f.name for f in fields(ClassifierSpec)})
+        try:  # an entry's keys are ClassifierSpec's fields
+            specs.append(ClassifierSpec(**{"kind": None, "seed": DEFAULT_SEED, **entry}))
+        except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return PipelineConfig(classifier_specs=specs, **values)

@@ -17,6 +17,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -397,6 +398,21 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def check_argument(value, name: str, phrase: str, test, kind=numbers.Real) -> None:
+    """A DataValidationError, "<name> must be <phrase>, got <value>", unless
+    value is a kind, never a bool, that passes test: the check of each number
+    a library function takes as an argument."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not test(value):
+        raise DataValidationError(f"{name} must be {phrase}, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """check_argument of a seed, which must be an integer >= 0: numpy would
+    seed None from the operating system, so the rows could not be picked
+    again, take true as 1, and reject the rest with its own errors."""
+    check_argument(seed, "seed", "an integer >= 0", lambda v: v >= 0, numbers.Integral)
+
+
 def _stratified_rows(labels: np.ndarray, fraction: float, seed: int, leave: int) -> np.ndarray:
     """Sorted indices of fraction of each class's rows, rounded half up, at
     least 1 and at most all but leave of them: the front of a seeded shuffle
@@ -422,8 +438,8 @@ def stratified_split(
     that share labels share the exact same row split. Class proportions in
     each part are within one row of exact stratification.
     """
-    if not (0.0 < test_fraction < 1.0):
-        raise DataValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check_argument(test_fraction, "test_fraction", "a number in (0, 1)", lambda v: 0 < v < 1)
+    _check_seed(seed)
     if X.n != y.n:
         raise DataValidationError(f"matrix has {X.n} rows but labels have {y.n}")
     labels = y.values
@@ -451,6 +467,7 @@ def stratified_sample(
     seed: int,
 ) -> tuple[FeatureMatrix, LabelVector]:
     """Seeded stratified row sample for desk-scale runs; preserves label ratio."""
+    _check_seed(seed)
     if isinstance(n_rows, bool) or not isinstance(n_rows, int) or n_rows < 1:
         raise DataValidationError(f"sample of {n_rows} rows requested, need at least 1")
     if n_rows > X.n:

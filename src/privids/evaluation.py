@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import classifiers
-from .dataset import FeatureMatrix, LabelVector
+from .dataset import FeatureMatrix, LabelVector, check_argument
 from .errors import DataValidationError
 
 # tag: (PCC-selected, LSM-distorted), the one place that says how each
@@ -76,8 +76,7 @@ def median_time(fn, repeats: int):
     The one clock behind every reported time. Each result is let go before
     the next call, outside the timed window, so no two are ever held. The
     median is statistics.median's expression, so it keeps its bits."""
-    if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
-        raise DataValidationError(f"timing repeats must be >= 1, got {repeats}")
+    check_argument(repeats, "timing repeats", ">= 1", lambda v: v >= 1, int)
     times = []
     for _ in range(repeats):
         result = None
@@ -89,17 +88,29 @@ def median_time(fn, repeats: int):
     return result, times[middle] if repeats % 2 else (times[middle - 1] + times[middle]) / 2
 
 
+def _check_specs(specs) -> None:
+    """A DataValidationError unless specs is a non-empty list or tuple of
+    config.ClassifierSpec, told by the kind, hyperparameters and seed that fit
+    reads: this module cannot import config, which imports it."""
+    fields = ("kind", "hyperparameters", "seed")
+    if not isinstance(specs, (list, tuple)) or not all(hasattr(s, f) for s in specs for f in fields):
+        raise DataValidationError(f"specs must be a list of ClassifierSpec, got {specs!r}")
+    if not specs:
+        raise DataValidationError("at least one classifier spec is required")
+
+
 def run_configuration(
     tag: str,
     X_train: FeatureMatrix,
     y_train: LabelVector,
     X_test: FeatureMatrix,
     y_test: LabelVector,
-    specs: list[classifiers.ClassifierSpec],
+    specs: list,
     timing_repeats: int = 3,
 ) -> dict:
-    """Fit and evaluate every classifier on one pipeline configuration:
-    {configuration, classifiers, n_train, n_test}, one flat entry per spec.
+    """Fit and evaluate every classifier of specs, a list of
+    config.ClassifierSpec, on one pipeline configuration: {configuration,
+    classifiers, n_train, n_test}, one flat entry per spec.
 
     Train and test wall times are medians over timing_repeats runs; fits are
     seed-deterministic, so repeated runs produce identical models and the
@@ -107,8 +118,7 @@ def run_configuration(
     """
     if tag not in CONFIGURATION_TAGS:
         raise DataValidationError(f"unknown configuration '{tag}', expected {CONFIGURATION_TAGS}")
-    if not specs:
-        raise DataValidationError("at least one classifier spec is required")
+    _check_specs(specs)
     entries = []
     for spec in specs:
         model, train_time = median_time(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import FeatureMatrix, check_argument
 from .errors import DataValidationError
 
 
@@ -100,8 +100,7 @@ def select_by_threshold(C: CorrelationMatrix, threshold: float) -> dict:
     feature is recorded as the trigger. Undefined pairs never trigger a drop;
     constant columns are surfaced separately for the operator.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise DataValidationError(f"threshold must be in (0, 1], got {threshold}")
+    check_argument(threshold, "threshold", "a number in (0, 1]", lambda v: 0 < v <= 1)
     kept: list[int] = []
     dropped: list[dict] = []
     for j in range(C.m):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import check_magnitude
+from .dataset import check_argument, check_magnitude
 from .errors import DataValidationError
 
 
@@ -90,6 +90,7 @@ def feature_rank_change(X, TX) -> tuple[float, float]:
 def privacy_report(X, TX, elapsed: float) -> dict:
     """The five measures, timing, dimensions and rp_sum (the unnormalized
     total rank displacement); each matrix must pass check_magnitude."""
+    check_argument(elapsed, "elapsed", "a number of seconds >= 0", lambda v: v >= 0)
     x, tx = _pair(X, TX)
     check_magnitude(X)
     check_magnitude(TX)

@@ -20,9 +20,9 @@ from conftest import unsw_csv_path
 from pearson_oracle import pearson
 from test_classifiers import gaussian_blobs, separable_set
 
-from privids.classifiers import ClassifierSpec, KINDS, fit, predict
+from privids.classifiers import fit, predict
 from privids.cli import NONDETERMINISTIC_KEYS, Stages, cmd_pipeline
-from privids.config import load_config
+from privids.config import KINDS, ClassifierSpec, load_config
 from privids.dataset import (
     FeatureMatrix,
     load_csv,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 import synth_data
 import tree_oracle
-from privids.classifiers import ClassifierSpec, KINDS, default_hyperparameters, fit, predict
-from privids.classifiers import decision_tree, random_forest
+from privids.classifiers import decision_tree, fit, predict, random_forest
+from privids.config import KINDS, ClassifierSpec
 from privids.dataset import FeatureMatrix, LabelVector, load_csv, prepare
-from privids.errors import DataValidationError
+from privids.errors import ConfigError, DataValidationError
 
 
 def _data(arr, labels, names=None):
@@ -299,7 +300,7 @@ def test_one_fit_stays_within_its_memory_bound(tmp_path):
         kind = module.__name__.rsplit(".", 1)[1]
         tracemalloc.start()
         try:
-            module.train(X.values, y.values, default_hyperparameters(kind), 42)
+            module.train(X.values, y.values, ClassifierSpec(kind).hyperparameters, 42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,43 +389,52 @@ def test_hyperparameter_validation():
         ("naive_bayes", {"smoothing": 1.0}),
     ]
     for kind, hp in bad:
-        with pytest.raises(DataValidationError):
+        with pytest.raises(ConfigError):
             fit(ClassifierSpec(kind, hp, 0), X, y)
-    with pytest.raises(DataValidationError, match="unknown classifier"):
-        default_hyperparameters("boosted")
+    with pytest.raises(ConfigError, match="^kind must be one of "):
+        ClassifierSpec("boosted")
 
 
 @pytest.mark.parametrize(
     "kind, hp, message",
     [
-        ("boosted", {}, "unknown classifier kind 'boosted'"),
-        ("knn", {"neighbors": 3}, r"knn: unknown hyperparameters \['neighbors'\]"),
-        ("decision_tree", {"min_samples_split": 1}, "invalid hyperparameter min_samples_split=1"),
-        ("knn", {"k": True}, "invalid hyperparameter k=True"),
+        ("boosted", {}, rf"^kind must be one of {re.escape(repr(KINDS))}, got 'boosted'$"),
+        ("knn", {"neighbors": 3}, r"^unknown keys in knn\.hyperparameters: \['neighbors'\]$"),
+        ("decision_tree", {"min_samples_split": 1}, r"^decision_tree\.min_samples_split must be >= 2, got 1$"),
+        ("knn", {"k": True}, r"^knn\.k must be an integer, got True$"),
         # a list kind once failed as unhashable, and a hyperparameter set that
         # is not a mapping failed in set(), each with a bare TypeError
         (["knn"], {}, r"^kind must be a string, got \['knn'\]$"),
-        ("knn", None, "^knn: hyperparameters must be a mapping, got None$"),
-        ("knn", 5, "^knn: hyperparameters must be a mapping, got 5$"),
+        # a null set of hyperparameters is the defaults, but a null value is
+        # not a count
+        ("knn", {"k": None}, r"^knn\.k must be an integer, got None$"),
+        ("knn", 5, r"^knn\.hyperparameters must be a mapping or null, got 5$"),
     ],
     ids=["unknown-kind", "unknown-hyperparameter", "invalid-value", "bool-value",
          "list-kind", "null-hyperparameters", "int-hyperparameters"],
 )
 def test_a_spec_is_checked_when_it_is_made(kind, hp, message):
-    with pytest.raises(DataValidationError, match=message):
+    with pytest.raises(ConfigError, match=message):
         ClassifierSpec(kind, hp, 0)
+
+
+def test_null_hyperparameters_mean_the_defaults():
+    # as in a config file, where "hyperparameters: null" is the defaults
+    assert ClassifierSpec("knn", None, 0) == ClassifierSpec("knn", {}, 0)
+    assert dict(ClassifierSpec("knn", None, 0).hyperparameters) == {"k": 5}
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
 def test_a_spec_checks_its_seed(seed):
     # numpy's generators would reject these only at fit, with their own errors
-    with pytest.raises(DataValidationError, match=rf"^svm: seed must be a non-negative integer, got {seed!r}$"):
+    allowed = ">= 0" if seed == -1 else "an integer"
+    with pytest.raises(ConfigError, match=rf"^svm\.seed must be {allowed}, got {re.escape(repr(seed))}$"):
         ClassifierSpec("svm", {}, seed)
 
 
 def test_a_spec_holds_its_defaults_filled_hyperparameters_read_only():
     spec = ClassifierSpec("svm", {"epochs": 2}, 5)
-    assert dict(spec.hyperparameters) == {**default_hyperparameters("svm"), "epochs": 2}
+    assert dict(spec.hyperparameters) == {**ClassifierSpec("svm").hyperparameters, "epochs": 2}
     with pytest.raises(TypeError):
         spec.hyperparameters["epochs"] = 0
     reseeded = dataclasses.replace(spec, seed=6)

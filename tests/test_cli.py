@@ -27,9 +27,16 @@ from hypothesis.extra import numpy as hnp
 import synth_data
 import writer_oracle
 from privids import cli
-from privids.classifiers import KINDS, default_hyperparameters
 from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
-from privids.config import DEFAULT_SEED, PipelineConfig, load_config
+from privids.config import (
+    _TYPE_NAMES,
+    DEFAULT_SEED,
+    HYPERPARAMETERS,
+    KINDS,
+    ClassifierSpec,
+    PipelineConfig,
+    load_config,
+)
 from privids.dataset import FeatureMatrix
 from privids.distortion import distort
 from privids.errors import ConfigError
@@ -142,7 +149,7 @@ def test_load_config_validates_ranges(tmp_path, small_csv):
         load_config(_config_file(tmp_path, small_csv, selection={"pcc_threshold": 1.5}))
     with pytest.raises(ConfigError, match="configurations"):
         load_config(_config_file(tmp_path, small_csv, configurations=["nonsense"]))
-    with pytest.raises(ConfigError, match="hyperparameter"):
+    with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn\.k must be >= 1, got 0$"):
         load_config(
             _config_file(
                 tmp_path, small_csv,
@@ -158,15 +165,13 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         config_path = _config_file(
             tmp_path, small_csv, **key_fault, classifiers=[{"kind": "knn", "hyperparameters": {"k": 0}}]
         )
-        with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn: invalid hyperparameter k=0$"):
+        with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn\.k must be >= 1, got 0$"):
             load_config(config_path)
     config_path = _config_file(
         tmp_path, small_csv, selection={"pcc_threshold": 1.5},
         classifiers=[{"kind": "knn", "seed": -1}],
     )
-    with pytest.raises(
-        ConfigError, match=r"^classifiers\[0\]: knn: seed must be a non-negative integer, got -1$"
-    ):
+    with pytest.raises(ConfigError, match=r"^classifiers\[0\]: knn\.seed must be >= 0, got -1$"):
         load_config(config_path)
 
 
@@ -180,7 +185,7 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         ("split.seed", {"split": {"seed": True}}),
         ("sample.rows", {"sample": {"rows": True}}),
         (
-            "classifiers[0]: knn: invalid hyperparameter k",
+            "classifiers[0]: knn.k must be an integer, got True",
             {"classifiers": [{"kind": "knn", "hyperparameters": {"k": True}}]},
         ),
         # a quoted "false" is truthy, so it would turn scaling on
@@ -191,7 +196,7 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         # a float must not truncate to an int
         ("split.seed", {"split": {"seed": 2.7}}),
         ("timing_repeats", {"timing_repeats": 2.9}),
-        ("classifiers[0]: knn: seed must be", {"classifiers": [{"kind": "knn", "seed": 1.5}]}),
+        ("classifiers[0]: knn.seed must be an integer, got 1.5", {"classifiers": [{"kind": "knn", "seed": 1.5}]}),
         # a string must not split into one-letter tags
         ("configurations must be a list", {"configurations": "baseline"}),
         # a list, a number or null must not turn into a column name or a path
@@ -202,10 +207,10 @@ def test_a_bad_classifier_entry_is_named_before_other_config_faults(tmp_path, sm
         ("output_dir", {"output_dir": ["x"]}),
         # numpy's generators reject a negative seed with a bare ValueError
         ("split.seed", {"split": {"seed": -1}}),
-        ("classifiers[0]: knn: seed must be", {"classifiers": [{"kind": "knn", "seed": -1}]}),
+        ("classifiers[0]: knn.seed must be >= 0, got -1", {"classifiers": [{"kind": "knn", "seed": -1}]}),
         # names of mixed types cannot be sorted by value
         (
-            "classifiers[0]: knn: unknown hyperparameters ['x', 1]",
+            "classifiers[0]: unknown keys in knn.hyperparameters: [1, 'x']",
             {"classifiers": [{"kind": "knn", "hyperparameters": {1: 2, "x": 3}}]},
         ),
     ],
@@ -255,38 +260,78 @@ YAML_VALUES = st.one_of(
 )
 
 
-def _outcome(make_config, name):
-    """(the ConfigError's text, None) if make_config fails, else (None, the
-    value of field name and its type)."""
+def _outcome(make, read):
+    """(the ConfigError's text, None) if make fails, else (None, the value
+    read from what it made and its type)."""
     try:
-        loaded = getattr(make_config(), name)
+        loaded = read(make())
     except ConfigError as exc:
         return str(exc), None
     return None, (loaded, type(loaded))
 
 
+_SEED_FIELD = next(f for f, _, _ in CONFIG_KEYS if f.metadata["path"] == "split.seed")
+
+# (where, declared type, allowed values, classifier kind or None, name) of
+# every run setting: each config key, named by its field, then each kind's
+# hyperparameters, typed by their defaults, and its seed, which has
+# split.seed's type and range
+SETTINGS = [
+    (f.metadata["path"], f.type, f.metadata["allowed"][0], None, f.name) for f, _, _ in CONFIG_KEYS
+] + [
+    (f"{kind}.{name}", type(default), phrase, kind, name)
+    for kind, declared in HYPERPARAMETERS.items() for name, (default, phrase, _) in declared.items()
+] + [(f"{kind}.seed", _SEED_FIELD.type, _SEED_FIELD.metadata["allowed"][0], kind, "seed") for kind in KINDS]
+
+
 @settings(max_examples=300, deadline=None)
-@given(row=st.sampled_from(CONFIG_KEYS), value=YAML_VALUES)
+@given(row=st.sampled_from(SETTINGS), value=YAML_VALUES)
 def test_schema_key_loads_with_its_type_or_fails_naming_it(tmp_path_factory, row, value):
-    field, section, key = row
+    # a hyperparameter and a classifier seed obey the rule of a config key:
+    # the same types, conversions and message format
+    where, declared, phrase, kind, name = row
+
+    def spec_entry(value):
+        """A classifier entry holding value at name."""
+        return {"kind": kind, **({"seed": value} if name == "seed" else {"hyperparameters": {name: value}})}
+
+    def read(config):
+        if kind is None:
+            return getattr(config, name)
+        spec = config.classifier_specs[0]
+        return spec.seed if name == "seed" else spec.hyperparameters[name]
+
     payload = {"dataset": {"path": "flows.csv"}}
     minimal = tmp_path_factory.getbasetemp() / "schema_minimal.yaml"
     minimal.write_text(yaml.safe_dump(payload), encoding="utf-8")
-    (payload.setdefault(section, {}) if section else payload)[key] = value
+    if kind is None:
+        section, _, key = where.rpartition(".")
+        (payload.setdefault(section, {}) if section else payload)[key] = value
+    else:
+        payload["classifiers"] = [spec_entry(value)]
     path = tmp_path_factory.getbasetemp() / "schema_property.yaml"
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    error, loaded = _outcome(lambda: load_config(path), read)
     # a config made in code is checked as one read from a file; it is given
-    # the value as the file holds it, whose mappings have sorted keys
-    error, loaded = _outcome(lambda: load_config(path), field.name)
-    as_read = {field.name: yaml.safe_load(yaml.safe_dump(value))}
-    replaced = _outcome(lambda: dataclasses.replace(load_config(minimal), **as_read), field.name)
-    assert replaced == (error, loaded)
+    # the value as the file holds it, whose mappings have sorted keys, and
+    # only load_config names the failing classifier entry
+    as_read = yaml.safe_load(yaml.safe_dump(value))
+
+    def in_code():
+        if kind is None:
+            return dataclasses.replace(load_config(minimal), **{name: as_read})
+        return dataclasses.replace(load_config(minimal), classifier_specs=[ClassifierSpec(**spec_entry(as_read))])
+
+    replaced = _outcome(in_code, read)
+    prefix = "" if kind is None else "classifiers[0]: "
+    assert (replaced[0] and prefix + replaced[0], replaced[1]) == (error, loaded)
     if error:
-        assert field.metadata["path"] in error
+        allowed = "|".join(map(re.escape, (_TYPE_NAMES[declared], phrase)))
+        assert re.fullmatch(rf"{re.escape(prefix + where)} must be ({allowed}), got .+", error), error
         return
     loaded, _ = loaded
-    assert _has_declared_type(loaded, field.type)
-    assert loaded == (tuple(value) if field.type == tuple[str, ...] else value)
+    assert _has_declared_type(loaded, declared)
+    assert loaded == (tuple(value) if declared == tuple[str, ...] else value)
 
 
 def test_shipped_config_documents_every_key_with_its_default():
@@ -301,7 +346,8 @@ def test_shipped_config_documents_every_key_with_its_default():
             assert entries[key] == field.metadata["default"], where
     assert [c["kind"] for c in doc["classifiers"]] == list(KINDS)
     for entry in doc["classifiers"]:
-        assert entry.get("hyperparameters", {}) == default_hyperparameters(entry["kind"])
+        defaults = {name: default for name, (default, _, _) in HYPERPARAMETERS[entry["kind"]].items()}
+        assert entry.get("hyperparameters", {}) == defaults
         assert entry["seed"] == DEFAULT_SEED
     load_config(SHIPPED_CONFIG)
 

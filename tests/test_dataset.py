@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 import tracemalloc
 import warnings
@@ -547,6 +548,30 @@ def test_sample_rejects_fewer_than_one_row(n_rows):
     X, y = _balanced(20)
     with pytest.raises(DataValidationError, match=rf"^sample of {n_rows} rows requested, need at least 1$"):
         stratified_sample(X, y, n_rows, seed=9)
+
+
+@pytest.mark.parametrize(
+    "pick, size, seed, message",
+    [
+        # numpy seeds None from the operating system, so the rows could not
+        # be picked again
+        (stratified_sample, 5, None, "seed must be an integer >= 0, got None"),
+        # true once ran as seed 1
+        (stratified_split, 0.3, True, "seed must be an integer >= 0, got True"),
+        # these once raised numpy's bare TypeError or ValueError
+        (stratified_split, 0.3, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (stratified_split, 0.3, -1, "seed must be an integer >= 0, got -1"),
+        (stratified_sample, 5, -1, "seed must be an integer >= 0, got -1"),
+        # and this a bare TypeError from comparing a string with a number
+        (stratified_split, "0.3", 1, "test_fraction must be a number in (0, 1), got '0.3'"),
+    ],
+    ids=["sample-seed-none", "split-seed-true", "split-seed-float", "split-seed-negative",
+         "sample-seed-negative", "split-fraction-str"],
+)
+def test_split_and_sample_reject_a_bad_seed_or_fraction(pick, size, seed, message):
+    X, y = _balanced(20)
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        pick(X, y, size, seed)
 
 
 def _old_split_rows(labels, test_fraction, seed):

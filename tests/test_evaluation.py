@@ -1,3 +1,4 @@
+import re
 import statistics
 import time
 import types
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from privids import evaluation
 
-from privids.classifiers import ClassifierSpec
+from privids.config import ClassifierSpec
 from privids.dataset import FeatureMatrix, LabelVector
 from privids.errors import DataValidationError
 from privids.evaluation import (
@@ -21,6 +22,8 @@ from privids.evaluation import (
     metrics,
     run_configuration,
 )
+from privids.feature_selection import correlation_matrix, select_by_threshold
+from privids.privacy_metrics import privacy_report
 from test_classifiers import separable_set
 
 
@@ -165,6 +168,30 @@ def test_run_configuration_validates_inputs():
         run_configuration("bogus", *_toy_split(), [ClassifierSpec("knn", {}, 0)])
     with pytest.raises(DataValidationError, match="classifier"):
         run_configuration("baseline", *_toy_split(), [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a bare TypeError from comparing a string with a number
+        (lambda X, split: select_by_threshold(correlation_matrix(X), "0.5"),
+         "threshold must be a number in (0, 1], got '0.5'"),
+        # true once ran as a threshold of 1.0
+        (lambda X, split: select_by_threshold(correlation_matrix(X), True),
+         "threshold must be a number in (0, 1], got True"),
+        # a bare ValueError and a bare TypeError from float()
+        (lambda X, split: privacy_report(X, X, "x"), "elapsed must be a number of seconds >= 0, got 'x'"),
+        (lambda X, split: privacy_report(X, X, None), "elapsed must be a number of seconds >= 0, got None"),
+        # a bare AttributeError from reading the kind of a string
+        (lambda X, split: run_configuration("baseline", *split, ["knn"]),
+         "specs must be a list of ClassifierSpec, got ['knn']"),
+    ],
+    ids=["threshold-str", "threshold-bool", "elapsed-str", "elapsed-none", "specs-of-str"],
+)
+def test_a_library_argument_of_the_wrong_type_fails_naming_it(call, message):
+    X = FeatureMatrix(np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.0]]), ("a", "b"))
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        call(X, _toy_split())
 
 
 def _report_with_accuracies(tag, accuracies):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privids import cli
-from privids.classifiers import KINDS
+from privids.config import KINDS
 from privids.evaluation import CONFIGURATION_TAGS
 
 # small counts, so that no example runs long

@@ -6,19 +6,26 @@ So scaling `sbytes` by 2^20 and `dur` by 2^-7 must leave the selection and
 the distorted data unchanged to the byte, scale those columns' betas by the
 inverse powers, and leave every classifier but kNN, whose Euclidean
 distance weighs columns by their scale, with the same confusion counts.
+
+The same file with every field quoted is read by the csv module, chunk by
+chunk, where the plain file is read by numpy's parser. Both readers must give
+the same values, so every report must keep its bytes but for its wall times.
 """
 
 import csv
+import io
 import json
 
 import pytest
 
 import synth_data
-from privids.cli import main
+from privids import dataset
+from privids.cli import NONDETERMINISTIC_KEYS, main
 from privids.evaluation import CONFIGURATION_TAGS
 
 SCALES = {"sbytes": 2.0**20, "dur": 2.0**-7}
 DISTORTED = ("lsm_only", "pcc_lsm")
+COPIES = ("plain", "scaled", "quoted")
 
 
 def _scaled_copy(source, target):
@@ -32,22 +39,50 @@ def _scaled_copy(source, target):
             writer.writerow([repr(float(v) * where[i]) if i in where else v for i, v in enumerate(row)])
 
 
+def _quoted_copy(source, target):
+    with open(source, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+
+
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """The output directories of pipeline on a 1,200-row file and on its scaled copy."""
+def outputs(tmp_path_factory):
+    """name: (the output directory of pipeline on that copy of a 1,200-row
+    file, the number of its chunks numpy's parser read). Each copy is run in
+    its own directory with the same relative paths, so the manifests echo
+    the same config."""
     work = tmp_path_factory.mktemp("metamorphic")
-    synth_data.write_csv(work / "plain.csv", 1200, seed=7)
-    _scaled_copy(work / "plain.csv", work / "scaled.csv")
-    outputs = []
-    for name in ("plain", "scaled"):
-        config = work / f"{name}.yaml"
-        config.write_text(
-            f"dataset:\n  path: {work / name}.csv\noutput_dir: {work / name}\ntiming_repeats: 1\n",
-            encoding="utf-8",
-        )
-        assert main(["pipeline", "--config", str(config)]) == 0
-        outputs.append(work / name)
-    return outputs
+    for name in COPIES:
+        (work / name).mkdir()
+    synth_data.write_csv(work / "plain" / "flows.csv", 1200, seed=7)
+    _scaled_copy(work / "plain" / "flows.csv", work / "scaled" / "flows.csv")
+    _quoted_copy(work / "plain" / "flows.csv", work / "quoted" / "flows.csv")
+    parse_lines, by_numpy = dataset._parse_lines, []
+
+    def counted(*args):
+        parsed = parse_lines(*args)
+        by_numpy[-1] += parsed is not None
+        return parsed
+
+    result = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_parse_lines", counted)
+        for name in COPIES:
+            patch.chdir(work / name)
+            (work / name / "config.yaml").write_text(
+                "dataset:\n  path: flows.csv\noutput_dir: out\ntiming_repeats: 1\n", encoding="utf-8"
+            )
+            by_numpy.append(0)
+            assert main(["pipeline", "--config", "config.yaml"]) == 0
+            result[name] = (work / name / "out", by_numpy[-1])
+    return result
+
+
+@pytest.fixture(scope="module")
+def runs(outputs):
+    """The output directories of the plain and the scaled copy."""
+    return [outputs[name][0] for name in ("plain", "scaled")]
 
 
 def _json(directory, name):
@@ -91,3 +126,31 @@ def test_confusion_counts_are_unchanged_but_knns_on_undistorted_data(runs):
         for b, a in zip(before, after, strict=True):
             if b["kind"] != "knn" or tag in DISTORTED:
                 assert b["confusion"] == a["confusion"], (tag, b["kind"])
+
+
+def _masked(path):
+    """A report's content without the values of NONDETERMINISTIC_KEYS: the
+    JSON text with those keys left out, or the CSV rows without those
+    columns."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        def strip(value):
+            if isinstance(value, dict):
+                return {k: strip(v) for k, v in value.items() if k not in NONDETERMINISTIC_KEYS}
+            return [strip(v) for v in value] if isinstance(value, list) else value
+        return json.dumps(strip(json.loads(text)))
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    keep = [i for i, name in enumerate(header) if name not in NONDETERMINISTIC_KEYS]
+    return [[row[i] for i in keep] for row in [header, *rows]]
+
+
+def test_quoted_fields_leave_every_report_unchanged_but_its_times(outputs):
+    (plain, plain_by_numpy), (quoted, quoted_by_numpy) = outputs["plain"], outputs["quoted"]
+    # the relation compares the two readers: numpy's for every plain chunk,
+    # csv for every quoted one
+    assert (plain_by_numpy, quoted_by_numpy) == (2, 0)
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in quoted.iterdir())
+    assert "manifest.json" in names and "evaluation_summary.csv" in names
+    for name in names:
+        assert _masked(plain / name) == _masked(quoted / name), name
