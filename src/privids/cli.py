@@ -2,20 +2,18 @@
 
 Each subcommand reads one YAML config, writes its reports into the output
 directory, and exits 0 on success, 1 on usage/config errors, 2 on data
-errors, 3 on numeric errors. All reports are deterministic given the same
-config and seeds, except for wall-time fields.
+errors, 3 on numeric errors, 4 when out of memory, and 128 + the signal
+number when SIGINT or SIGTERM stops it. The reports module writes every
+report; they are deterministic given the same config and seeds, except for
+wall-time fields.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import signal
 import sys
-import warnings
-from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -35,141 +33,11 @@ from .dataset import (
 from .distortion import distort, transform
 from .errors import ConfigError, DataFormatError, DataValidationError, PipelineError
 from .feature_selection import apply_selection, correlation_matrix, select_by_threshold
-
-# Report keys whose values depend on the wall clock; everything else is
-# byte-reproducible from config + seeds.
-NONDETERMINISTIC_KEYS = frozenset(
-    {
-        "train_time_s",
-        "test_time_s",
-        "distortion_time_s",
-        "Time",
-        "stage_times_s",
-    }
-)
+# NONDETERMINISTIC_KEYS is imported from here, too, by benchmarks/reference.py
+# and benchmarks/test_bench.py.
+from .reports import NONDETERMINISTIC_KEYS, remove_others, write  # noqa: F401
 
 DISTORTED_TAGS = tuple(t for t, (_, lsm) in evaluation.CONFIGURATIONS.items() if lsm)
-
-
-# Every report file, grouped by the command that writes it (select, distort,
-# evaluate, pipeline); "{}" stands for a configuration tag.
-REPORTS = (
-    "correlation_matrix.csv", "selection_report.json", "pcc_ranking.csv",
-    "distorted_{}.csv", "distortion_model_{}.json", "distortion_timing_{}.json",
-    "evaluation_{}.json", "privacy_{}.json", "utility_comparison.json",
-    "privacy_measures.csv", "evaluation_summary.csv",
-    "manifest.json",
-)
-
-
-@contextmanager
-def _replacing(path: Path):
-    """A text file to write in place of path: it is written beside path and
-    renamed over it only when the block completes, so path is never left
-    half written; on an exception the partial file is removed, and an OSError
-    (an output directory that is a file, say) becomes a one-line ConfigError."""
-    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException as exc:
-        with suppress(FileNotFoundError, NotADirectoryError):
-            partial.unlink()
-        if isinstance(exc, OSError):
-            raise ConfigError(f"{path}: cannot write: {exc}") from None
-        raise
-
-
-def _write(out: Path, reports: dict) -> list[Path]:
-    """Write each {name: payload} report into out through _replacing and
-    return the paths: a FeatureMatrix in row blocks, a (header, rows) pair
-    under a .csv name through csv.writer, anything else as JSON."""
-    for name, payload in reports.items():
-        with _replacing(out / name) as fh:
-            if isinstance(payload, FeatureMatrix):
-                _write_matrix(fh, payload)
-            elif name.endswith(".csv"):
-                header, rows = payload
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-            else:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    return [out / name for name in reports]
-
-
-# Cells per block of rows that _write_matrix converts and writes at once;
-# a block's repr strings take several times its float64 bytes, so a smaller
-# block lowers the writer's peak without changing a byte of output. 2^13
-# left about 2 MB less resident for the next fit than 2^15, and writes no
-# slower.
-_MATRIX_BLOCK_CELLS = 1 << 13
-
-# Body cells from which _write_matrix formats half of the rows in a forked
-# child. A fork and reap cost about 8 ms: in-process on 2 CPUs the split lost
-# at 16,800 cells and won from 33,600, and 2^17 keeps desk's matrices serial.
-_MATRIX_SPLIT_CELLS = 1 << 17
-
-
-def _write_rows(fh, bits: np.ndarray, block: int):
-    """Write bits, rows of float64 bit patterns, to fh as CSV lines, one
-    write per block of block rows. Within a block, repr is taken once of
-    each distinct value and its string scattered to every cell that holds
-    it: a distorted column is an affine map of mostly repeated counts and
-    codes. Distinct means distinct bit patterns, not float values, because
-    -0.0 == 0.0 but their reprs differ. The strings are held for one block,
-    so their number follows the block, not the file."""
-    for start in range(0, len(bits), block):
-        rows = bits[start : start + block]
-        distinct, where = np.unique(rows.ravel(), return_inverse=True)
-        strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        text = strings[where].reshape(rows.shape)
-        fh.write("".join([",".join(row) + "\r\n" for row in text.tolist()]))
-
-
-def _write_matrix(fh, matrix: FeatureMatrix):
-    """Write matrix to fh as csv.writer would: the header through
-    csv.writer, then the body through _write_rows. A float repr never holds
-    a character csv would quote, and FeatureMatrix entries are finite. On
-    Linux with 2 usable CPUs, a forked child writes the second half of a
-    large body into a memory file, appended once the child has exited."""
-    bits = matrix.values.view(np.uint64)
-    block = max(1, _MATRIX_BLOCK_CELLS // max(matrix.m, 1))
-    csv.writer(fh).writerow(matrix.column_names)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
-    if bits.size < _MATRIX_SPLIT_CELLS or cpus < 2:
-        return _write_rows(fh, bits, block)
-    middle = matrix.n // 2 // block * block
-    with open(os.memfd_create("privids-tail"), "w", newline="", encoding="utf-8") as tail:
-        # Python 3.12 warns of forking beside OpenBLAS's threads, but the
-        # child calls no BLAS: it sorts, reprs and writes, then os._exit.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            try:
-                _write_rows(tail, bits[middle:], block)
-                tail.flush()
-                os._exit(0)
-            finally:  # reached only when the lines above raise
-                os._exit(1)
-        try:
-            _write_rows(fh, bits[:middle], block)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except BaseException:  # SIGTERM included, also while waiting
-            with suppress(ProcessLookupError, ChildProcessError):  # already reaped
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            raise
-        if code:
-            raise OSError(f"the process writing rows {middle} to {matrix.n} exited with code {code}")
-        fh.flush()
-        size, sent = os.fstat(tail.fileno()).st_size, 0
-        while sent < size:
-            sent += os.sendfile(fh.fileno(), tail.fileno(), sent, size - sent)
 
 
 def _verify_sha256(path: str, expected: str):
@@ -266,7 +134,7 @@ def cmd_select(stages: Stages) -> list[Path]:
             ["feature", "mean_abs_pcc"], ([r["feature"], r["score"]] for r in report["ranking"])
         ),
     }
-    return _write(Path(stages.config.output_dir), reports)
+    return write(Path(stages.config.output_dir), reports)
 
 
 def cmd_distort(stages: Stages) -> list[Path]:
@@ -283,7 +151,7 @@ def cmd_distort(stages: Stages) -> list[Path]:
     for tag in tags:
         model, elapsed = stages.distortion(tag)
         X = stages.original(tag)
-        written += _write(Path(config.output_dir), {
+        written += write(Path(config.output_dir), {
             f"distorted_{tag}.csv": stages.distorted(tag),
             f"distortion_model_{tag}.json": {
                 "columns": list(model.fitted_on), "beta": model.beta.tolist(),
@@ -347,7 +215,7 @@ def cmd_evaluate(stages: Stages) -> list[Path]:
             for r in report["classifiers"]
         ),
     )
-    return _write(Path(config.output_dir), reports)
+    return write(Path(config.output_dir), reports)
 
 
 def _blas() -> dict:
@@ -369,7 +237,7 @@ def cmd_pipeline(stages: Stages) -> list[Path]:
     reads the one stages, so the CSV is read once, within select's time.
     The distort stage is skipped when no distorted configuration is
     requested. An interrupted run leaves status 'incomplete'; a complete run
-    removes every report in REPORTS that it did not write."""
+    removes every report in reports.REPORTS that it did not write."""
     config = stages.config
     out = Path(config.output_dir)
     manifest = {
@@ -384,7 +252,7 @@ def cmd_pipeline(stages: Stages) -> list[Path]:
         "stage_times_s": {},
         "files": ["manifest.json"],
     }
-    written = _write(out, {"manifest.json": manifest})
+    written = write(out, {"manifest.json": manifest})
     distorts = any(tag in DISTORTED_TAGS for tag in config.configurations)
     try:
         for stage_name, stage in (
@@ -398,18 +266,13 @@ def cmd_pipeline(stages: Stages) -> list[Path]:
             written += paths
             manifest["files"] = sorted(p.name for p in written)
             manifest["stage_times_s"][stage_name] = elapsed
-        known = {pattern.format(tag) for pattern in REPORTS for tag in evaluation.CONFIGURATION_TAGS}
-        for name in sorted(known - set(manifest["files"])):
-            try:
-                (out / name).unlink(missing_ok=True)
-            except OSError as exc:
-                raise ConfigError(f"{out / name}: cannot remove: {exc}") from None
+        remove_others(out, manifest["files"])
     except BaseException as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        _write(out, {"manifest.json": manifest})
+        write(out, {"manifest.json": manifest})
         raise
     manifest["status"] = "complete"
-    _write(out, {"manifest.json": manifest})
+    write(out, {"manifest.json": manifest})
     return written
 
 
@@ -423,7 +286,7 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError, so they exit 1 with one line through
-    main's one except; subparsers are made of this class too."""
+    main's PipelineError handler; subparsers are made of this class too."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -457,9 +320,23 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return config
 
 
+def _where(exc: BaseException) -> str:
+    """The innermost line of this package that exc was raised through, as
+    function (file:line), then exc's message if it has one."""
+    package, where, tb = os.path.dirname(__file__) + os.sep, "privids", exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename.startswith(package):
+            where = f"{code.co_name} ({os.path.relpath(code.co_filename, package)}:{tb.tb_lineno})"
+        tb = tb.tb_next
+    return f"{where}: {exc}" if str(exc) else where
+
+
 def main(argv=None) -> int:
-    # SIGTERM exits 143 through _replacing's and _write_matrix's cleanup
-    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    # SIGINT and SIGTERM exit 128 + signum through the report writer's cleanup;
+    # one ignored when the run starts, as in a script's background job, stays so
+    stops = [s for s in (signal.SIGINT, signal.SIGTERM) if signal.getsignal(s) is not signal.SIG_IGN]
+    previous = [signal.signal(s, lambda signum, _: sys.exit(128 + signum)) for s in stops]
     try:
         args = build_parser().parse_args(argv)
         config = _apply_overrides(load_config(args.config), args)
@@ -467,8 +344,12 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {_where(exc)}", file=sys.stderr)
+        return 4
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in zip(stops, previous):
+            signal.signal(signum, handler)
     for path in written:
         print(path)
     return 0

@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the pipeline.
 
 Exit-code mapping used by the CLI: configuration and usage problems exit 1,
-data problems exit 2, numeric failures exit 3.
+data problems exit 2, numeric failures exit 3. Running out of memory
+(a MemoryError) exits 4: unlike a bad input, a failure that a retry with
+more memory or a smaller sample may pass. A run stopped by SIGINT
+exits 130 and one stopped by SIGTERM 143 (128 + the signal number), leaving
+no partial file and no writer process.
 """
 
 

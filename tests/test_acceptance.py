@@ -7,7 +7,6 @@ back to a seeded synthetic surrogate of the same shape so the pipeline
 properties are always exercised.
 """
 
-import json
 import statistics
 import time
 
@@ -21,7 +20,7 @@ from pearson_oracle import pearson
 from test_classifiers import gaussian_blobs, separable_set
 
 from privids.classifiers import fit, predict
-from privids.cli import NONDETERMINISTIC_KEYS, Stages, cmd_pipeline
+from privids.cli import Stages, cmd_pipeline
 from privids.config import KINDS, ClassifierSpec, load_config
 from privids.dataset import (
     FeatureMatrix,
@@ -38,6 +37,7 @@ from privids.feature_selection import (
     select_by_threshold,
 )
 from privids.privacy_metrics import privacy_report
+from privids.reports import masked
 
 # published retained/dropped outcome for the canonical training CSV at 0.85
 REFERENCE_DROPPED = {
@@ -400,23 +400,6 @@ def test_criterion_09_privacy_directionality_full_csv():
     )
 
 
-def _comparable(path):
-    """File contents with wall-clock values removed."""
-    if path.suffix == ".json":
-        def strip(obj):
-            if isinstance(obj, dict):
-                return {k: strip(v) for k, v in obj.items() if k not in NONDETERMINISTIC_KEYS}
-            if isinstance(obj, list):
-                return [strip(v) for v in obj]
-            return obj
-
-        return strip(json.loads(path.read_text()))
-    rows = path.read_text().splitlines()
-    header = rows[0].split(",")
-    keep = [i for i, name in enumerate(header) if name not in NONDETERMINISTIC_KEYS]
-    return [",".join(line.split(",")[i] for i in keep) for line in rows]
-
-
 def test_criterion_10_pipeline_determinism(tmp_path):
     start = time.perf_counter()
     dataset = tmp_path / "flows.csv"
@@ -441,18 +424,13 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     )
     # identical config and seeds, rerun into the same output directory
     cmd_pipeline(Stages(load_config(config_path)))
-    files = sorted(p for p in (tmp_path / "out").iterdir())
-    snapshot = {p.name: _comparable(p) for p in files}
+    snapshot = {p.name: masked(p) for p in (tmp_path / "out").iterdir()}
     cmd_pipeline(Stages(load_config(config_path)))
-    rerun_files = sorted(p for p in (tmp_path / "out").iterdir())
+    rerun = {p.name: masked(p) for p in (tmp_path / "out").iterdir()}
 
-    mismatches = [
-        p.name
-        for p in rerun_files
-        if p.name not in snapshot or _comparable(p) != snapshot[p.name]
-    ]
+    mismatches = sorted(n for n in snapshot.keys() | rerun.keys() if snapshot.get(n) != rerun.get(n))
     elapsed = time.perf_counter() - start
-    ok = [p.name for p in rerun_files] == sorted(snapshot) and not mismatches
+    ok = not mismatches
     _report(
         10,
         ok,

@@ -26,8 +26,8 @@ from hypothesis.extra import numpy as hnp
 
 import synth_data
 import writer_oracle
-from privids import cli
-from privids.cli import NONDETERMINISTIC_KEYS, cmd_pipeline, main
+from privids import cli, reports
+from privids.cli import cmd_pipeline, main
 from privids.config import (
     _TYPE_NAMES,
     DEFAULT_SEED,
@@ -56,14 +56,6 @@ def _config_file(tmp_path, dataset_path, **overrides):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
     return path
-
-
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items() if k not in NONDETERMINISTIC_KEYS}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
 
 
 def _assert_one_line_error(capsys):
@@ -372,7 +364,7 @@ class _FullDisk:
 
 def _split_matrices(monkeypatch):
     """Make _write_matrix split every matrix in a forked child, also on one CPU."""
-    monkeypatch.setattr(cli, "_MATRIX_SPLIT_CELLS", 0)
+    monkeypatch.setattr(reports, "_MATRIX_SPLIT_CELLS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -394,7 +386,7 @@ def _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "report.json"
     matrix_path = tmp_path / "distorted.csv"
-    cli._write(tmp_path, {
+    reports.write(tmp_path, {
         csv_path.name: (["a"], [[1]]),
         json_path.name: {"a": 1},
         matrix_path.name: FeatureMatrix(np.ones((3, 2)), ("a", "b")),
@@ -406,14 +398,14 @@ def _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch):
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError):
-        cli._write(tmp_path, {csv_path.name: (["a"], rows())})
+        reports.write(tmp_path, {csv_path.name: (["a"], rows())})
     with pytest.raises(TypeError):
-        cli._write(tmp_path, {json_path.name: {"a": 2, "b": object()}})
+        reports.write(tmp_path, {json_path.name: {"a": 2, "b": object()}})
 
     # the disk fills after the header and the first of seven 3-row blocks;
     # split, this process writes the first three and a child the other four
-    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
-    replacing = cli._replacing
+    monkeypatch.setattr(reports, "_MATRIX_BLOCK_CELLS", 6)
+    replacing = reports.replacing
     files = []
 
     @contextmanager
@@ -422,10 +414,10 @@ def _assert_failed_write_leaves_previous_file(tmp_path, monkeypatch):
             files.append(_FullDisk(fh, ok_writes=2))
             yield files[-1]
 
-    monkeypatch.setattr(cli, "_replacing", full_disk)
+    monkeypatch.setattr(reports, "replacing", full_disk)
     matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
     with pytest.raises(ConfigError, match="distorted.csv: cannot write: .*No space left"):
-        cli._write(tmp_path, {matrix_path.name: matrix})
+        reports.write(tmp_path, {matrix_path.name: matrix})
     assert files[0].written[1] == "0.0,1.0\r\n2.0,3.0\r\n4.0,5.0\r\n"
 
     assert {p: p.read_bytes() for p in (csv_path, json_path, matrix_path)} == before
@@ -437,18 +429,18 @@ def test_failed_child_leaves_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "distorted.csv"
     path.write_bytes(b"previous\r\n")
     _split_matrices(monkeypatch)
-    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
-    parent, write_rows = os.getpid(), cli._write_rows
+    monkeypatch.setattr(reports, "_MATRIX_BLOCK_CELLS", 6)
+    parent, write_rows = os.getpid(), reports._write_rows
 
     def fails_for_the_second_half(fh, bits, block):
         if os.getpid() != parent:
             raise RuntimeError("formatter failed")
         write_rows(fh, bits, block)
 
-    monkeypatch.setattr(cli, "_write_rows", fails_for_the_second_half)
+    monkeypatch.setattr(reports, "_write_rows", fails_for_the_second_half)
     matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
     with pytest.raises(ConfigError) as info:
-        cli._write(tmp_path, {path.name: matrix})
+        reports.write(tmp_path, {path.name: matrix})
     assert str(info.value) == (
         f"{path}: cannot write: the process writing rows 9 to 20 exited with code 1"
     )
@@ -459,8 +451,8 @@ def test_failed_child_leaves_previous_file(tmp_path, monkeypatch):
 
 def test_sigterm_while_waiting_for_the_child_kills_and_reaps_it(tmp_path, small_csv, monkeypatch):
     _split_matrices(monkeypatch)
-    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 6)
-    parent, write_rows = os.getpid(), cli._write_rows
+    monkeypatch.setattr(reports, "_MATRIX_BLOCK_CELLS", 6)
+    parent, write_rows = os.getpid(), reports._write_rows
 
     def signal_once_the_first_half_is_written(fh, bits, block):
         if os.getpid() != parent:
@@ -469,12 +461,12 @@ def test_sigterm_while_waiting_for_the_child_kills_and_reaps_it(tmp_path, small_
         main_thread = threading.main_thread().ident
         threading.Timer(0.2, signal.pthread_kill, (main_thread, signal.SIGTERM)).start()
 
-    monkeypatch.setattr(cli, "_write_rows", signal_once_the_first_half_is_written)
+    monkeypatch.setattr(reports, "_write_rows", signal_once_the_first_half_is_written)
     matrix = FeatureMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
 
     def write_one_matrix(config):
         """Write one matrix."""
-        return cli._write(tmp_path, {"m.csv": matrix})
+        return reports.write(tmp_path, {"m.csv": matrix})
 
     monkeypatch.setitem(cli.COMMANDS, "distort", write_one_matrix)
     config_path = _config_file(tmp_path, small_csv)
@@ -496,24 +488,38 @@ def test_sigterm_while_waiting_for_the_child_kills_and_reaps_it(tmp_path, small_
     _assert_no_child_left()
 
 
+def test_sigint_ignored_when_main_starts_stays_ignored(tmp_path, small_csv, monkeypatch, capsys):
+    def interrupted(X, _original=cli.correlation_matrix):
+        signal.raise_signal(signal.SIGINT)
+        return _original(X)
+
+    monkeypatch.setattr(cli, "correlation_matrix", interrupted)
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        assert main(["select", "--config", str(_config_file(tmp_path, small_csv))]) == 0
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def test_write_matrix_is_serial_on_one_cpu(tmp_path, monkeypatch):
     matrix = FeatureMatrix(np.arange(60.0).reshape(20, 3) / 7, ("a", "b", "c"))
-    monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", 9)
+    monkeypatch.setattr(reports, "_MATRIX_BLOCK_CELLS", 9)
     _split_matrices(monkeypatch)
-    cli._write(tmp_path, {"split.csv": matrix})
+    reports.write(tmp_path, {"split.csv": matrix})
 
     def no_fork():
         raise AssertionError("forked on one CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
-    cli._write(tmp_path, {"serial.csv": matrix})
+    reports.write(tmp_path, {"serial.csv": matrix})
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_distort_above_the_split_threshold_writes_nothing_to_stderr(tmp_path):
     # run as __main__, where Python 3.12 would print its fork warning
-    rows = cli._MATRIX_SPLIT_CELLS // 42 + 1
+    rows = reports._MATRIX_SPLIT_CELLS // 42 + 1
     flows = tmp_path / "flows.csv"
     synth_data.write_csv(flows, rows, seed=3)
     config_path = _config_file(tmp_path, flows, configurations=["lsm_only"])
@@ -571,26 +577,34 @@ def _processes_naming(text: str) -> list[str]:
 
 @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
 def test_sigterm_while_writing_exits_143_leaving_no_partial_file_or_process(tmp_path):
+    # SIGINT, as Ctrl-C sends it, takes the same path and exits 130
     flows = tmp_path / "flows.csv"
     synth_data.write_csv(flows, 12_000, seed=42)
     config_path = _config_file(tmp_path, flows, configurations=["lsm_only", "pcc_lsm"])
-    out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    with subprocess.Popen(
-        [sys.executable, "-m", "privids.cli", "distort", "--config", str(config_path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-    ) as run:
-        while not any(out.glob(".*.partial")):
-            assert run.poll() is None, "the run ended before it wrote a file"
-            time.sleep(0.001)
-        run.send_signal(signal.SIGTERM)
-        assert run.wait(timeout=60) == 128 + signal.SIGTERM
-    assert not list(out.glob(".*.partial"))
-    # a forked writer left running would still carry the parent's command line
-    deadline = time.monotonic() + 2
-    while _processes_naming(str(config_path)):
-        assert time.monotonic() < deadline, "a process of the run outlived it"
-        time.sleep(0.01)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        out = tmp_path / signum.name
+        with subprocess.Popen(
+            [sys.executable, "-m", "privids.cli", "pipeline", "--config", str(config_path),
+             "--output", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+            # a background job of a shell script starts with SIGINT ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        ) as run:
+            while not any(out.glob(".distorted_*.partial")):
+                assert run.poll() is None, "the run ended before it wrote a distorted file"
+                time.sleep(0.001)
+            run.send_signal(signum)
+            assert run.wait(timeout=60) == 128 + signum
+            assert run.stderr.read() == b""
+        assert not list(out.glob(".*.partial"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("incomplete", f"SystemExit: {128 + signum}")
+        # a forked writer left running would still carry the parent's command line
+        deadline = time.monotonic() + 2
+        while _processes_naming(str(config_path)):
+            assert time.monotonic() < deadline, "a process of the run outlived it"
+            time.sleep(0.01)
 
 
 @pytest.mark.parametrize("blocker", ["file", "file/sub"])
@@ -666,10 +680,10 @@ def _matrices(draw):
 def test_write_matrix_matches_per_cell_oracle(tmp_path_factory, monkeypatch, block_rows, split, matrix):
     out = tmp_path_factory.getbasetemp()
     if block_rows is not None:
-        monkeypatch.setattr(cli, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
+        monkeypatch.setattr(reports, "_MATRIX_BLOCK_CELLS", block_rows * matrix.m)
     if split:
         _split_matrices(monkeypatch)
-    cli._write(out, {"fast.csv": matrix})
+    reports.write(out, {"fast.csv": matrix})
     writer_oracle.write_matrix(out / "oracle.csv", matrix)
     assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
@@ -683,9 +697,18 @@ def test_write_csv_matches_per_cell_oracle(tmp_path_factory, rows):
     # csv.writer writes None as an empty field and a float as its repr, as
     # the oracle's per-cell formatting does
     out = tmp_path_factory.getbasetemp()
-    cli._write(out, {"fast.csv": (["a", "b"], rows)})
+    reports.write(out, {"fast.csv": (["a", "b"], rows)})
     writer_oracle._write_csv(out / "oracle.csv", ["a", "b"], rows)
     assert (out / "fast.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+
+def test_masked_leaves_out_the_wall_times_at_any_depth_and_reads_quoted_fields(tmp_path):
+    reports.write(tmp_path, {
+        "r.json": {"Time": 1, "a": [{"train_time_s": 2, "b": None}], "c": {"stage_times_s": {}}},
+        "r.csv": (["x,y", "Time", "z"], [["1,5", 0.25, '"q"'], [None, 3, 2.5]]),
+    })
+    assert reports.masked(tmp_path / "r.json") == {"a": [{"b": None}], "c": {}}
+    assert reports.masked(tmp_path / "r.csv") == [["x,y", "z"], ["1,5", '"q"'], ["", "2.5"]]
 
 
 def test_distort_writes_oracle_bytes(tmp_path, small_csv):
@@ -755,8 +778,7 @@ def test_a_failing_later_configuration_keeps_the_earlier_ones_files(tmp_path, sm
     assert sorted(p.name for p in written.iterdir()) == names
     for name in names[:2]:
         assert (written / name).read_bytes() == (expected / name).read_bytes()
-    timing = [json.loads((out / names[2]).read_text()) for out in (written, expected)]
-    assert _strip_timing(timing[0]) == _strip_timing(timing[1])
+    assert reports.masked(written / names[2]) == reports.masked(expected / names[2])
 
 
 def _scaled_column(small_csv, path, column, scale):
@@ -1042,20 +1064,11 @@ def test_pipeline_report_shapes(tmp_path, small_csv):
 
 
 def test_seeded_rerun_reproduces_reports(tmp_path, small_csv):
-    config_path = _config_file(
-        tmp_path, small_csv, configurations=["baseline", "pcc_lsm"],
-        output_dir=str(tmp_path / "run1"),
-    )
-    assert main(["evaluate", "--config", str(config_path)]) == 0
-    config_path2 = _config_file(
-        tmp_path, small_csv, configurations=["baseline", "pcc_lsm"],
-        output_dir=str(tmp_path / "run2"),
-    )
-    assert main(["evaluate", "--config", str(config_path2)]) == 0
+    config_path = _config_file(tmp_path, small_csv, configurations=["baseline", "pcc_lsm"])
+    for run in ("run1", "run2"):
+        assert main(["evaluate", "--config", str(config_path), "--output", str(tmp_path / run)]) == 0
     for name in ("evaluation_baseline.json", "evaluation_pcc_lsm.json", "privacy_pcc_lsm.json"):
-        first = _strip_timing(json.loads((tmp_path / "run1" / name).read_text()))
-        second = _strip_timing(json.loads((tmp_path / "run2" / name).read_text()))
-        assert first == second, name
+        assert reports.masked(tmp_path / "run1" / name) == reports.masked(tmp_path / "run2" / name), name
 
 
 def test_pipeline_writes_complete_manifest(tmp_path, small_csv):
@@ -1109,8 +1122,8 @@ def test_pipeline_removes_reports_it_did_not_write(tmp_path, small_csv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(p.name for p in out.iterdir() if p.name != "notes.txt") == manifest["files"]
     assert (out / "notes.txt").read_text() == "not a report\n"
-    reports = {pattern.format(tag) for pattern in cli.REPORTS for tag in CONFIGURATION_TAGS}
-    assert set(manifest["files"]) <= reports
+    known = {pattern.format(tag) for pattern in reports.REPORTS for tag in CONFIGURATION_TAGS}
+    assert set(manifest["files"]) <= known
     assert not [name for name in manifest["files"] if "lsm_only" in name or "pcc_only" in name]
 
 
@@ -1123,6 +1136,18 @@ def test_report_that_cannot_be_removed_exits_1(tmp_path, small_csv, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
     assert "evaluation_baseline.json" in manifest["files"]
+
+
+def test_out_of_memory_exits_4_in_one_line(tmp_path, small_csv, capsys, monkeypatch):
+    def exhausted(X):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "correlation_matrix", exhausted)
+    assert main(["pipeline", "--config", str(_config_file(tmp_path, small_csv))]) == 4
+    err = _assert_one_line_error(capsys)
+    assert re.fullmatch(r"error: out of memory: selection \(cli\.py:\d+\): Unable to allocate 1\.00 TiB\n", err)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"]) == ("incomplete", "MemoryError: Unable to allocate 1.00 TiB")
 
 
 def test_interrupted_pipeline_marks_manifest_incomplete(tmp_path):
@@ -1145,7 +1170,7 @@ def test_readme_output_table_lists_the_reports():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Output files", 1)[1].split("\n#", 1)[0]
     names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
-    assert tuple(name.replace("<tag>", "{}") for name in names) == cli.REPORTS
+    assert tuple(name.replace("<tag>", "{}") for name in names) == reports.REPORTS
 
 
 def test_cli_overrides(tmp_path, small_csv):
@@ -1276,15 +1301,6 @@ def test_pipeline_function_returns_written_paths(tmp_path, small_csv):
     assert "evaluation_baseline.json" in names
 
 
-def _comparable(path):
-    if path.suffix == ".json":
-        return _strip_timing(json.loads(path.read_text()))
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name not in NONDETERMINISTIC_KEYS]
-    return [[row[i] for i in keep] for row in rows]
-
-
 def test_pipeline_ingests_once_and_matches_separate_commands(tmp_path, small_csv, monkeypatch):
     configurations = ["baseline", "pcc_only", "lsm_only", "pcc_lsm"]
     separate = {}
@@ -1313,4 +1329,4 @@ def test_pipeline_ingests_once_and_matches_separate_commands(tmp_path, small_csv
     piped = {p.name: p for p in out.iterdir() if p.name != "manifest.json"}
     assert sorted(piped) == sorted(separate)
     for name, path in piped.items():
-        assert _comparable(path) == _comparable(separate[name]), name
+        assert reports.masked(path) == reports.masked(separate[name]), name

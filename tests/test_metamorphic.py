@@ -10,40 +10,46 @@ distance weighs columns by their scale, with the same confusion counts.
 The same file with every field quoted is read by the csv module, chunk by
 chunk, where the plain file is read by numpy's parser. Both readers must give
 the same values, so every report must keep its bytes but for its wall times.
+
+A column listed in drop_columns is never parsed, so adding one whose values
+no parser accepts must leave every report as it was but the config that the
+manifest echoes.
 """
 
 import csv
-import io
-import json
 
 import pytest
 
 import synth_data
 from privids import dataset
-from privids.cli import NONDETERMINISTIC_KEYS, main
+from privids.cli import main
 from privids.evaluation import CONFIGURATION_TAGS
+from privids.reports import masked
 
 SCALES = {"sbytes": 2.0**20, "dur": 2.0**-7}
 DISTORTED = ("lsm_only", "pcc_lsm")
-COPIES = ("plain", "scaled", "quoted")
 
 
-def _scaled_copy(source, target):
-    with open(source, newline="", encoding="utf-8") as fh:
-        header, *rows = list(csv.reader(fh))
+def _scaled(header, rows):
     where = {header.index(name): scale for name, scale in SCALES.items()}
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v) * where[i]) if i in where else v for i, v in enumerate(row)])
+    scaled = ([repr(float(v) * where[i]) if i in where else v for i, v in enumerate(row)] for row in rows)
+    return [header, *scaled]
 
 
-def _quoted_copy(source, target):
-    with open(source, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+def _noted(header, rows):
+    """header and rows with a first column, note, that mixes numbers and
+    text. Every other column moves one place, so a column index taken from
+    the wrong list reads another column."""
+    return [["note", *header], *([str(i) if i % 2 else "n/a", *row] for i, row in enumerate(rows))]
+
+
+# copy: (its rows made from the plain file's header and rows, its quoting)
+REWRITES = {
+    "scaled": (_scaled, csv.QUOTE_MINIMAL),
+    "quoted": (lambda header, rows: [header, *rows], csv.QUOTE_ALL),
+    "dropped": (_noted, csv.QUOTE_MINIMAL),
+}
+COPIES = ("plain", *REWRITES)
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +57,16 @@ def outputs(tmp_path_factory):
     """name: (the output directory of pipeline on that copy of a 1,200-row
     file, the number of its chunks numpy's parser read). Each copy is run in
     its own directory with the same relative paths, so the manifests echo
-    the same config."""
+    the same config but for the dropped copy's drop_columns."""
     work = tmp_path_factory.mktemp("metamorphic")
     for name in COPIES:
         (work / name).mkdir()
     synth_data.write_csv(work / "plain" / "flows.csv", 1200, seed=7)
-    _scaled_copy(work / "plain" / "flows.csv", work / "scaled" / "flows.csv")
-    _quoted_copy(work / "plain" / "flows.csv", work / "quoted" / "flows.csv")
+    with open(work / "plain" / "flows.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    for name, (rewrite, quoting) in REWRITES.items():
+        with open(work / name / "flows.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=quoting).writerows(rewrite(header, rows))
     parse_lines, by_numpy = dataset._parse_lines, []
 
     def counted(*args):
@@ -70,9 +79,12 @@ def outputs(tmp_path_factory):
         patch.setattr(dataset, "_parse_lines", counted)
         for name in COPIES:
             patch.chdir(work / name)
-            (work / name / "config.yaml").write_text(
-                "dataset:\n  path: flows.csv\noutput_dir: out\ntiming_repeats: 1\n", encoding="utf-8"
-            )
+            config = "dataset:\n  path: flows.csv\noutput_dir: out\ntiming_repeats: 1\n"
+            if name == "dropped":  # parsed, note stops the run
+                (work / name / "config.yaml").write_text(config, encoding="utf-8")
+                assert main(["select", "--config", "config.yaml"]) == 2
+                config = config.replace("flows.csv\n", "flows.csv\n  drop_columns: [id, note]\n")
+            (work / name / "config.yaml").write_text(config, encoding="utf-8")
             by_numpy.append(0)
             assert main(["pipeline", "--config", "config.yaml"]) == 0
             result[name] = (work / name / "out", by_numpy[-1])
@@ -85,8 +97,13 @@ def runs(outputs):
     return [outputs[name][0] for name in ("plain", "scaled")]
 
 
-def _json(directory, name):
-    return json.loads((directory / name).read_text(encoding="utf-8"))
+def _reports(directory):
+    """{name: repr of its masked content} of every report in directory, the
+    manifest's without the config it echoes; the repr tells -0.0 from 0.0
+    and 1.0 from 1, which == does not."""
+    found = {path.name: masked(path) for path in directory.iterdir()}
+    found["manifest.json"].pop("config")
+    return {name: repr(content) for name, content in found.items()}
 
 
 def test_selection_and_distorted_files_keep_their_bytes(runs):
@@ -99,8 +116,8 @@ def test_selection_and_distorted_files_keep_their_bytes(runs):
 def test_betas_scale_by_the_inverse_power(runs):
     plain, scaled = runs
     for tag in DISTORTED:
-        before = _json(plain, f"distortion_model_{tag}.json")
-        after = _json(scaled, f"distortion_model_{tag}.json")
+        before = masked(plain / f"distortion_model_{tag}.json")
+        after = masked(scaled / f"distortion_model_{tag}.json")
         assert before["columns"] == after["columns"]
         assert (before["intercept"], before["residual"]) == (after["intercept"], after["residual"])
         expected = [
@@ -113,35 +130,19 @@ def test_betas_scale_by_the_inverse_power(runs):
 def test_rank_privacy_measures_are_unchanged(runs):
     plain, scaled = runs
     for tag in DISTORTED:
-        before = _json(plain, f"privacy_{tag}.json")
-        after = _json(scaled, f"privacy_{tag}.json")
+        before = masked(plain / f"privacy_{tag}.json")
+        after = masked(scaled / f"privacy_{tag}.json")
         assert [before[k] for k in ("rp", "rp_sum", "rk")] == [after[k] for k in ("rp", "rp_sum", "rk")]
 
 
 def test_confusion_counts_are_unchanged_but_knns_on_undistorted_data(runs):
     plain, scaled = runs
     for tag in CONFIGURATION_TAGS:
-        before = _json(plain, f"evaluation_{tag}.json")["classifiers"]
-        after = _json(scaled, f"evaluation_{tag}.json")["classifiers"]
+        before = masked(plain / f"evaluation_{tag}.json")["classifiers"]
+        after = masked(scaled / f"evaluation_{tag}.json")["classifiers"]
         for b, a in zip(before, after, strict=True):
             if b["kind"] != "knn" or tag in DISTORTED:
                 assert b["confusion"] == a["confusion"], (tag, b["kind"])
-
-
-def _masked(path):
-    """A report's content without the values of NONDETERMINISTIC_KEYS: the
-    JSON text with those keys left out, or the CSV rows without those
-    columns."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        def strip(value):
-            if isinstance(value, dict):
-                return {k: strip(v) for k, v in value.items() if k not in NONDETERMINISTIC_KEYS}
-            return [strip(v) for v in value] if isinstance(value, list) else value
-        return json.dumps(strip(json.loads(text)))
-    header, *rows = csv.reader(io.StringIO(text, newline=""))
-    keep = [i for i, name in enumerate(header) if name not in NONDETERMINISTIC_KEYS]
-    return [[row[i] for i in keep] for row in [header, *rows]]
 
 
 def test_quoted_fields_leave_every_report_unchanged_but_its_times(outputs):
@@ -149,8 +150,14 @@ def test_quoted_fields_leave_every_report_unchanged_but_its_times(outputs):
     # the relation compares the two readers: numpy's for every plain chunk,
     # csv for every quoted one
     assert (plain_by_numpy, quoted_by_numpy) == (2, 0)
-    names = sorted(p.name for p in plain.iterdir())
-    assert names == sorted(p.name for p in quoted.iterdir())
-    assert "manifest.json" in names and "evaluation_summary.csv" in names
-    for name in names:
-        assert _masked(plain / name) == _masked(quoted / name), name
+    before = _reports(plain)
+    assert {"manifest.json", "evaluation_summary.csv"} <= before.keys()
+    assert _reports(quoted) == before
+
+
+def test_a_dropped_column_leaves_every_report_unchanged_but_the_config_echo(outputs):
+    (plain, _), (dropped, dropped_by_numpy) = outputs["plain"], outputs["dropped"]
+    # numpy's parser reads both chunks and skips the text column
+    assert dropped_by_numpy == 2
+    assert masked(dropped / "manifest.json")["config"]["dataset"]["drop_columns"] == ["id", "note"]
+    assert _reports(dropped) == _reports(plain)

@@ -1,11 +1,11 @@
 """The per-cell CSV writer that cmd_distort used before feature matrices were
-written in row blocks, kept unchanged as the oracle for cli._write_matrix:
+written in row blocks, kept unchanged as the oracle for reports._write_matrix:
 blocks of rows in which each column reprs each distinct bit pattern once."""
 
 import csv
 from pathlib import Path
 
-from privids.cli import _replacing
+from privids.reports import replacing
 from privids.dataset import FeatureMatrix
 
 
@@ -18,7 +18,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
